@@ -84,6 +84,7 @@ from .serialize import (
     postselected_to_json,
     program_from_json,
     program_to_json,
+    write_csv,
     write_pgm,
 )
 from .verify import run_suite, suite_names
@@ -127,7 +128,7 @@ __all__ = [
     # serialization
     "matrix_to_json", "matrix_from_json", "program_to_json",
     "program_from_json", "postselected_to_json", "dumps", "write_pgm",
-    "format_csv",
+    "format_csv", "write_csv",
     # verification
     "run_suite", "suite_names",
 ]

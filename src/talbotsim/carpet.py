@@ -6,6 +6,12 @@ grating period and zeta along the propagation axis in carpet periods
 at each mask plane the field is projected onto the slit basis, the mask
 phases applied, and the field resynthesized, with the projection residual
 recorded so a mask placed away from a revival plane is visible.
+
+Rows are synthesized on the x-grid j / x_steps, where mode m is
+indistinguishable from FFT bin m mod x_steps: the paraxial phases of a
+block of rows form one (rows, modes) array, the modes fold onto their bins,
+and one batched inverse FFT along x gives every row of the block.  The CLI
+streams a carpet's CSV to disk line by line (serialize.write_csv).
 """
 
 from dataclasses import dataclass
@@ -14,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .grating import GratingSpec, ModeField, basis_wavefunction, grating_coefficients
-from .programs import OpticalProgram, PhaseMask, Propagate
-from .propagation import propagate_paraxial
+from .programs import OpticalProgram, Propagate
+from .propagation import _paraxial_phases, propagate_paraxial
 
 __all__ = [
     "CarpetImage",
@@ -57,16 +63,39 @@ def _sample_grid(z_steps: int, x_steps: int, zeta_span) -> tuple[np.ndarray, np.
     return np.linspace(lo, hi, z_steps), np.arange(x_steps) / x_steps
 
 
-def _intensity_rows(segments, zeta_grid, x_grid) -> np.ndarray:
-    """segments: list of (zeta_start, ModeField); last segment extends to the end."""
-    rows = np.empty((len(zeta_grid), len(x_grid)))
+# Complex entries per synthesis block; rows are batched up to this size, so
+# temporaries stay bounded however many modes a field carries.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _intensity_rows(segments, zeta_grid, x_steps: int) -> np.ndarray:
+    """|psi(x_j, zeta)|^2 on x_j = j / x_steps for every zeta, peak-normalized.
+
+    segments: list of (zeta_start, ModeField); each row propagates the last
+    segment starting at or before it (rows before every start use the
+    first).  On the grid j / x_steps mode m is indistinguishable from bin
+    m mod x_steps, so the modes of a block of rows fold onto FFT bins and
+    one inverse FFT along x synthesizes the whole block.
+    """
+    rows = np.empty((len(zeta_grid), x_steps))
     starts = [s for s, _ in segments]
-    for i, z in enumerate(zeta_grid):
-        index = int(np.searchsorted(starts, z, side="right")) - 1
-        index = max(index, 0)
-        z0, start_field = segments[index]
-        here = propagate_paraxial(start_field, z - z0)
-        rows[i] = np.abs(here.evaluate(x_grid)) ** 2
+    owner = np.maximum(np.searchsorted(starts, zeta_grid, side="right") - 1, 0)
+    for index, (z0, field) in enumerate(segments):
+        picked = np.flatnonzero(owner == index)
+        m = field.modes
+        # column c of `padded` holds a mode congruent to c mod x_steps, so
+        # summing its x_steps-wide periods folds every mode onto its bin
+        offset = m[0] % x_steps
+        width = -(-(offset + len(m)) // x_steps) * x_steps
+        block = max(1, _BLOCK_ENTRIES // width)
+        for lo in range(0, len(picked), block):
+            chunk = picked[lo:lo + block]
+            padded = np.zeros((len(chunk), width), dtype=complex)
+            padded[:, offset:offset + len(m)] = field.coefficients * _paraxial_phases(
+                m, zeta_grid[chunk] - z0
+            )
+            bins = padded.reshape(len(chunk), -1, x_steps).sum(axis=1)
+            rows[chunk] = np.abs(np.fft.ifft(bins, axis=1, norm="forward")) ** 2
     peak = rows.max()
     if peak > 0:
         rows /= peak
@@ -82,7 +111,7 @@ def render_carpet(
     """Free carpet of the bare grating over `zeta_span` carpet periods."""
     zeta_grid, x_grid = _sample_grid(z_steps, x_steps, zeta_span)
     start = grating_coefficients(spec).normalized()
-    rows = _intensity_rows([(0.0, start)], zeta_grid, x_grid)
+    rows = _intensity_rows([(0.0, start)], zeta_grid, len(x_grid))
     return CarpetImage(intensity=rows, zeta=zeta_grid, x=x_grid)
 
 
@@ -131,7 +160,7 @@ def render_program_carpet(
         raise ValueError("program has zero total propagation distance")
     zeta_grid, x_grid = _sample_grid(z_steps, x_steps, (0.0, float(total)))
     float_segments = [(float(s), f) for s, f in segments]
-    rows = _intensity_rows(float_segments, zeta_grid, x_grid)
+    rows = _intensity_rows(float_segments, zeta_grid, len(x_grid))
     return CarpetImage(
         intensity=rows,
         zeta=zeta_grid,

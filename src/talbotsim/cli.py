@@ -39,6 +39,7 @@ from .serialize import (
     matrix_to_json,
     postselected_to_json,
     program_to_json,
+    write_csv,
     write_pgm,
 )
 from .verify import format_report, run_suite, suite_names
@@ -60,21 +61,22 @@ def _configure_threads() -> None:
         os.environ.setdefault(variable, str(count))
 
 
+def _write(path: str, writer, *args) -> None:
+    """writer(path, *args), exiting with code 2 if the file cannot be written."""
+    try:
+        writer(path, *args)
+    except OSError as error:
+        click.echo(f"error: cannot write {path}: {error}", err=True)
+        sys.exit(2)
+
+
+def _save_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(text)
+
+
 def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write(text)
-    except OSError as error:
-        click.echo(f"error: cannot write {path}: {error}", err=True)
-        sys.exit(2)
-
-
-def _write_pgm(path: str, intensity) -> None:
-    try:
-        write_pgm(path, intensity)
-    except OSError as error:
-        click.echo(f"error: cannot write {path}: {error}", err=True)
-        sys.exit(2)
+    _write(path, _save_text, text)
 
 
 @click.group()
@@ -143,7 +145,7 @@ def carpet(slit_ratio, wavelength, truncation, zeta_min, zeta_max, z_steps, x_st
             )
     except ValueError as error:
         raise click.UsageError(str(error))
-    _write_pgm(out, image.intensity)
+    _write(out, write_pgm, image.intensity)
     if csv_path is not None:
         metadata = {
             "slit_ratio": slit_ratio,
@@ -151,12 +153,13 @@ def carpet(slit_ratio, wavelength, truncation, zeta_min, zeta_max, z_steps, x_st
             "truncation": truncation,
             "mask_positions": ";".join(repr(p) for p in image.mask_positions),
         }
+        x = image.x.tolist()
         rows = (
-            (image.zeta[i], image.x[j], image.intensity[i, j])
-            for i in range(len(image.zeta))
-            for j in range(len(image.x))
+            (zeta, xj, value)
+            for zeta, row in zip(image.zeta.tolist(), image.intensity)
+            for xj, value in zip(x, row.tolist())
         )
-        _write_text(csv_path, format_csv(["zeta", "x", "intensity"], rows, metadata))
+        _write(csv_path, write_csv, ["zeta", "x", "intensity"], rows, metadata)
     for position, residual in zip(image.mask_positions, image.mask_residuals):
         click.echo(f"mask at zeta={position!r} projection_residual={residual:.3e}")
     for revival in detect_revivals(image):
@@ -272,7 +275,7 @@ def prepare(theta, phi, out_prefix, slit_ratio, wavelength, truncation,
     except ValueError as error:
         raise click.UsageError(str(error))
     _write_text(out_prefix + "_program.json", dumps(program_to_json(program)))
-    _write_pgm(out_prefix + "_carpet.pgm", image.intensity)
+    _write(out_prefix + "_carpet.pgm", write_pgm, image.intensity)
 
     positions = program.mask_positions()
     masks = [step for step in program.steps if isinstance(step, PhaseMask)]
@@ -282,7 +285,7 @@ def prepare(theta, phi, out_prefix, slit_ratio, wavelength, truncation,
     ]
     dim = program.dim
     header = ["index", "zeta", *[f"phase_{d}" for d in range(dim)]]
-    _write_text(out_prefix + "_masks.csv", format_csv(header, mask_rows))
+    _write(out_prefix + "_masks.csv", write_csv, header, mask_rows)
 
     probabilities = measure_probabilities(state)
     click.echo(f"population_0={float(probabilities[0])!r}")

@@ -27,9 +27,27 @@ __all__ = [
     "propagate_angular_spectrum",
 ]
 
-# Fractions with larger denominators risk int64 overflow in q*m^2 and carry
-# no physical meaning; they take the float path instead.
+# Fractions with larger denominators carry no physical meaning and take the
+# float path; at or below it the residue product (m^2 mod r) * q stays under
+# 10^18, inside int64.
 _MAX_EXACT_DENOMINATOR = 10**9
+
+
+def _paraxial_phases(m: np.ndarray, zeta) -> np.ndarray:
+    """exp(-2i pi m^2 zeta) for integer modes m.
+
+    A Fraction zeta with a small enough denominator r is exact: the phase
+    comes from the integer residue q m^2 mod r.  Any other zeta is taken as
+    float, reduced mod 1, and may be an array: the result then has one row
+    of phases per zeta value.
+    """
+    if isinstance(zeta, Fraction) and zeta.denominator <= _MAX_EXACT_DENOMINATOR:
+        q = zeta.numerator % zeta.denominator
+        r = zeta.denominator
+        exponent = ((m * m) % r) * q % r
+        return np.exp(-2j * np.pi * exponent / r)
+    frac = np.mod(np.asarray(zeta, dtype=float), 1.0)
+    return np.exp(-2j * np.pi * np.mod(np.multiply.outer(frac, m.astype(float) ** 2), 1.0))
 
 
 def propagate_paraxial(field: ModeField, zeta) -> ModeField:
@@ -40,17 +58,7 @@ def propagate_paraxial(field: ModeField, zeta) -> ModeField:
     Floats are reduced mod 1 before use, which keeps the carpet periodicity
     exact there too.
     """
-    m = field.modes
-    if isinstance(zeta, Fraction) and zeta.denominator <= _MAX_EXACT_DENOMINATOR:
-        q = zeta.numerator % zeta.denominator
-        r = zeta.denominator
-        exponent = (q * m * m) % r
-        phases = np.exp(-2j * np.pi * exponent / r)
-    else:
-        frac = math.fmod(float(zeta), 1.0)
-        if frac < 0.0:
-            frac += 1.0
-        phases = np.exp(-2j * np.pi * np.mod(m.astype(float) ** 2 * frac, 1.0))
+    phases = _paraxial_phases(field.modes, zeta)
     return ModeField(field.coefficients * phases, field.truncation)
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "dumps",
     "write_pgm",
     "format_csv",
+    "write_csv",
 ]
 
 
@@ -119,20 +120,32 @@ def write_pgm(path, intensity: np.ndarray) -> None:
         handle.write(pixels.tobytes())
 
 
+def _csv_lines(header: list, rows, metadata: dict | None):
+    if metadata:
+        for key, value in metadata.items():
+            yield f"# {key}: {_render(value)}\n"
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(_render(value) for value in row) + "\n"
+
+
 def format_csv(header: list, rows, metadata: dict | None = None) -> str:
     """CSV text with optional '# key: value' metadata lines before the header.
 
     Floats are rendered by repr so a reader recovers them exactly; other
     values go through str.
     """
-    lines = []
-    if metadata:
-        for key, value in metadata.items():
-            lines.append(f"# {key}: {_render(value)}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_render(value) for value in row))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_lines(header, rows, metadata))
+
+
+def write_csv(path, header: list, rows, metadata: dict | None = None) -> None:
+    """Write format_csv(header, rows, metadata) to `path` line by line.
+
+    The bytes equal format_csv's, but the whole text is never held in
+    memory, so `rows` can be a generator over a large table.
+    """
+    with open(path, "w", encoding="ascii") as handle:
+        handle.writelines(_csv_lines(header, rows, metadata))
 
 
 def _render(value) -> str:

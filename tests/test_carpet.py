@@ -1,17 +1,29 @@
 """Carpet rendering, program carpets, and revival detection."""
 
+import hashlib
+import json
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from talbotsim import (
     CarpetImage,
     GratingSpec,
     detect_revivals,
+    grating_coefficients,
     hadamard_program,
     prepare_bloch_state,
+    propagate_paraxial,
     render_carpet,
     render_program_carpet,
 )
+from talbotsim import carpet
+from talbotsim.cli import main
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def test_render_carpet_shape_and_normalization():
@@ -125,3 +137,83 @@ def test_revival_shift_convention():
     half = image.intensity[32]
     base = image.intensity[0]
     assert np.abs(half - np.roll(base, 32)).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched-FFT synthesis against a per-row evaluate reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_rows(segments, zeta_grid, x_grid):
+    """One ModeField.evaluate per row, normalized to peak 1."""
+    starts = [s for s, _ in segments]
+    rows = []
+    for z in zeta_grid:
+        index = max(int(np.searchsorted(starts, z, side="right")) - 1, 0)
+        z0, field = segments[index]
+        rows.append(np.abs(propagate_paraxial(field, z - z0).evaluate(x_grid)) ** 2)
+    rows = np.array(rows)
+    return rows / rows.max()
+
+
+@pytest.mark.parametrize(
+    "slit_width, M, z_steps, x_steps, span",
+    [
+        (0.5, 64, 257, 256, (0.0, 1.0)),  # CLI default grid
+        (0.3, 128, 65, 16, (0.0, 1.0)),  # 2M+1 > X: modes fold onto bins
+        (0.2, 48, 97, 128, (-0.7, 0.4)),  # negative zeta_min
+    ],
+)
+def test_free_carpet_matches_per_row_evaluate(slit_width, M, z_steps, x_steps, span):
+    spec = GratingSpec(slit_width=slit_width, mode_truncation=M)
+    image = render_carpet(spec, span, z_steps, x_steps)
+    start = grating_coefficients(spec).normalized()
+    reference = _reference_rows([(0.0, start)], image.zeta, image.x)
+    assert np.abs(image.intensity - reference).max() <= 1e-12
+
+
+def test_program_carpet_matches_per_row_evaluate(monkeypatch):
+    captured = {}
+    synthesize = carpet._intensity_rows
+
+    def spy(segments, zeta_grid, x_steps):
+        captured["segments"] = segments
+        return synthesize(segments, zeta_grid, x_steps)
+
+    monkeypatch.setattr(carpet, "_intensity_rows", spy)
+    spec = GratingSpec(slit_width=0.25, mode_truncation=48)
+    image = render_program_carpet(spec, hadamard_program(), z_steps=65, x_steps=128)
+    # the mask plane is grid row 32 exactly; that row belongs to the masked segment
+    assert image.zeta[32] == image.mask_positions[0] == 0.25
+    assert [s for s, _ in captured["segments"]] == [0.0, 0.25]
+    reference = _reference_rows(captured["segments"], image.zeta, image.x)
+    assert np.abs(image.intensity - reference).max() <= 1e-12
+
+
+def test_default_pgm_bytes_match_golden_hashes(tmp_path):
+    golden = json.loads(GOLDEN.read_text())["carpet_grid"]
+    runner = CliRunner()
+    free = tmp_path / "golden_carpet.pgm"
+    assert runner.invoke(main, ["carpet", "--out", str(free)]).exit_code == 0
+    prefix = tmp_path / "golden_prep"
+    result = runner.invoke(
+        main, ["prepare", "--theta", "0.8", "--phi", "1.1", "--out-prefix", str(prefix)]
+    )
+    assert result.exit_code == 0
+    for path in (free, tmp_path / "golden_prep_carpet.pgm"):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[path.name]
+
+
+def test_carpet_synthesis_memory_is_output_sized():
+    # a dense exp(2 pi i x m) over all rows would be Z*X*M*16 bytes = 4.3 GB
+    z_steps, x_steps, M = 1025, 1024, 256
+    spec = GratingSpec(slit_width=0.5, mode_truncation=M)
+    output_bytes = z_steps * x_steps * 16
+    tracemalloc.start()
+    try:
+        image = render_carpet(spec, z_steps=z_steps, x_steps=x_steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert image.intensity.shape == (z_steps, x_steps)
+    assert peak < 2 * output_bytes

@@ -6,6 +6,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from talbotsim import (
     GratingSpec,
@@ -19,6 +21,7 @@ from talbotsim import (
     replica_decompose,
     talbot_unitary,
 )
+from talbotsim.propagation import _MAX_EXACT_DENOMINATOR, _paraxial_phases
 
 COPRIME = [(q, r) for r in range(1, 17) for q in range(1, r + 1) if gcd(q, r) == 1]
 
@@ -60,6 +63,30 @@ def test_paraxial_mode_phase_against_scalar_oracle():
     for index, m in enumerate(f.modes):
         phase = cmath.exp(-2j * cmath.pi * (3 * int(m) ** 2 % 7) / 7)
         assert abs(g.coefficients[index] - f.coefficients[index] * phase) < 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(1, _MAX_EXACT_DENOMINATOR),
+    q=st.integers(0, _MAX_EXACT_DENOMINATOR),
+    modes=st.lists(st.integers(-300_000, 300_000), min_size=1, max_size=32),
+)
+@example(r=999_999_937, q=999_999_936, modes=[200_000, -199_999, 7])
+def test_exact_phases_match_python_int_arithmetic(r, q, modes):
+    zeta = Fraction(q, r)
+    r, q = zeta.denominator, zeta.numerator % zeta.denominator
+    exponent = np.array([(q * m * m) % r for m in modes])
+    expected = np.exp(-2j * np.pi * exponent / r)
+    assert np.array_equal(_paraxial_phases(np.array(modes), zeta), expected)
+
+
+def test_exact_paraxial_has_no_int64_wrap_at_large_modes():
+    # q * m^2 reaches 4e19 here, past int64; the phases must still be exact
+    M, r = 200_000, 999_999_937
+    field = ModeField(np.ones(2 * M + 1), M)
+    got = propagate_paraxial(field, Fraction(r - 1, r)).coefficients
+    exponent = np.array([((r - 1) * m * m) % r for m in range(-M, M + 1)])
+    assert np.array_equal(got, np.exp(-2j * np.pi * exponent / r))
 
 
 @pytest.mark.parametrize("q,r", COPRIME)

@@ -19,6 +19,7 @@ from talbotsim import (
     program_from_json,
     program_to_json,
     talbot_unitary,
+    write_csv,
     write_pgm,
 )
 
@@ -137,6 +138,15 @@ def test_format_csv_without_metadata():
     assert text == "a\n1.5\n"
     # repr floats survive eval round trip
     assert float(text.splitlines()[1]) == 1.5
+
+
+@pytest.mark.parametrize("metadata", [None, {"slit_width": np.float64(0.5), "flag": True}])
+def test_write_csv_bytes_equal_format_csv(tmp_path, metadata):
+    header = ["n", "value", "flag"]
+    rows = [[np.int64(3), np.float64(0.1), True], [4, 1e-300, np.False_], [-1, 2.0, "x"]]
+    path = tmp_path / "table.csv"
+    write_csv(path, header, iter(rows), metadata)
+    assert path.read_bytes() == format_csv(header, rows, metadata).encode("ascii")
 
 
 def test_program_validation_errors_carry_step_index():
