@@ -21,7 +21,7 @@ import numpy as np
 
 from .grating import GratingSpec, ModeField, basis_wavefunction, grating_coefficients
 from .programs import OpticalProgram, Propagate
-from .propagation import _paraxial_phases, propagate_paraxial
+from .propagation import _paraxial_phases, _project, _slit_basis, propagate_paraxial
 
 __all__ = [
     "CarpetImage",
@@ -128,9 +128,7 @@ def render_program_carpet(
     slit `initial_level`.  Masks act at their cumulative positions.
     """
     D = program.dim
-    basis = np.column_stack(
-        [basis_wavefunction(spec, D, d).coefficients for d in range(D)]
-    )
+    basis = _slit_basis(spec, D)
     start = basis_wavefunction(spec, D, initial_level).normalized()
 
     segments = [(Fraction(0), start)]
@@ -143,14 +141,8 @@ def render_program_carpet(
             continue
         z0, seg_field = segments[-1]
         arrived = propagate_paraxial(seg_field, z - z0)
-        weights, _, _, _ = np.linalg.lstsq(basis, arrived.coefficients, rcond=None)
-        fit = basis @ weights
-        residuals.append(
-            float(
-                np.linalg.norm(fit - arrived.coefficients)
-                / np.linalg.norm(arrived.coefficients)
-            )
-        )
+        weights, residual, _ = _project(basis, arrived.coefficients)
+        residuals.append(residual)
         positions.append(float(z))
         masked = basis @ (weights * np.exp(1j * np.asarray(step.phases)))
         segments.append((z, ModeField(masked, spec.mode_truncation)))

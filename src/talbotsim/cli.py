@@ -2,16 +2,13 @@
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 for usage errors, invalid configuration, or I/O problems.  All outputs
-are byte-deterministic for a fixed command line.
-
-The TALBOT_THREADS environment variable, when set, must be a positive
-integer; it is exported to the numeric backend as a thread cap.  The
-computations themselves are sequential and give identical bytes for any
-cap.
+are byte-deterministic for a fixed command line and a fixed BLAS thread
+count.  The `fidelity` CSV can differ in its last digit between OpenBLAS
+thread counts; pin them with OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before
+launch, since the backend reads them only when numpy is first imported.
 """
 
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -45,22 +42,6 @@ from .serialize import (
 from .verify import format_report, run_suite, suite_names
 
 
-def _configure_threads() -> None:
-    raw = os.environ.get("TALBOT_THREADS")
-    if raw is None:
-        return
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise click.UsageError(
-            f"TALBOT_THREADS must be a positive integer, got {raw!r}"
-        )
-    for variable in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(variable, str(count))
-
-
 def _write(path: str, writer, *args) -> None:
     """writer(path, *args), exiting with code 2 if the file cannot be written."""
     try:
@@ -82,7 +63,6 @@ def _write_text(path: str, text: str) -> None:
 @click.group()
 def main() -> None:
     """Talbot carpets, qudit gates, and post-selected two-photon operations."""
-    _configure_threads()
 
 
 @main.command()

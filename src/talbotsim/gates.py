@@ -69,24 +69,19 @@ def talbot_unitary(D: int, q: int = 1) -> np.ndarray:
 
     q may be any integer; it is reduced mod the cycle length (2D even,
     D odd), so q = 0 gives the identity and negative q the inverse gate.
-    The result is circulant by construction: column j equals column 0
-    rolled by j, bitwise.
+    Each step is a row sum of (step circulant * column): numpy reduces each
+    contiguous row exactly as it sums one 1-d vector, so entry i carries
+    the bits of the convolution sum_k a_{i-k} b_k taken alone, with no FFT
+    round-off asymmetry between entries.  The result is circulant by
+    construction: column j equals column 0 rolled by j, bitwise.
     """
     r = talbot_cycle_length(D)
-    step = talbot_step_coefficients(D)
+    step = circulant(talbot_step_coefficients(D))
     column = np.zeros(D, dtype=complex)
     column[0] = 1.0
     for _ in range(q % r):
-        column = _cyclic_convolve(step, column)
+        column = (step * column).sum(axis=1)
     return circulant(column)
-
-
-def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    D = len(a)
-    idx = np.arange(D)
-    # c_i = sum_k a_{i-k} b_k, indices mod D.  O(D^2) but exact ordering,
-    # no FFT round-off asymmetry between columns.
-    return np.asarray([(a[(i - idx) % D] * b).sum() for i in range(D)])
 
 
 def diagonal_gate(phases: np.ndarray) -> np.ndarray:

@@ -259,24 +259,30 @@ def build_cz(D: int, k: int) -> PostSelectedOperator:
     heralded matrix is diagonal with uniform modulus 1/3; the residual
     phases are returned as declared local corrections, after which the
     matrix is exactly (1/3) ideal_cz_matrix(D, k).
+
+    All D^2 coincident inputs (a, d)(b, f) are evolved at once: with mode
+    map U the coincidence amplitude of output (a, i)(b, j) is
+    U[i, D+f] U[D+j, d] + U[i, d] U[D+j, D+f], the two photon orderings of
+    the symmetric input.  The 1/sqrt(2) of the input state multiplies the
+    path-a factor and the sqrt(2) of post-selection the sum, where the
+    one-state-at-a-time evolution psi -> U psi U^T puts them, so the
+    entries carry the same bits as that evolution (signed zeros included).
     """
     if not 0 <= k < D:
         raise ValueError(f"control level must satisfy 0 <= k < {D}, got {k}")
     swap_levels = tuple(d for d in range(D) if d != k)
-    mode_map = _swap_matrix(D, swap_levels) @ sdbs_mode_map(control_splitter(D, k))
+    U = _swap_matrix(D, swap_levels) @ sdbs_mode_map(control_splitter(D, k))
     filter_t = filter_splitter(D, k).transmission.real
+    half = 1.0 / math.sqrt(2.0)
 
-    matrix = np.zeros((D * D, D * D), dtype=complex)
-    success = np.zeros(D * D)
-    for d in range(D):
-        for f in range(D):
-            state = TwoPhotonState.coincident_pair(D, d, f)
-            evolved = apply_mode_map(state, mode_map)
-            C, _ = post_select_coincidence(evolved)
-            C = filter_t[:, None] * C * filter_t[None, :]
-            column = C.reshape(-1)
-            matrix[:, d * D + f] = column
-            success[d * D + f] = float(np.linalg.norm(column) ** 2)
+    # coincidence[i, j, d, f]: input (a, d)(b, f) -> output (a, i)(b, j)
+    coincidence = np.einsum("if,jd->ijdf", U[:D, D:] * half, U[D:, :D])
+    coincidence += np.einsum("id,jf->ijdf", U[:D, :D] * half, U[D:, D:])
+    coincidence *= math.sqrt(2.0)
+    coincidence *= filter_t[:, None, None, None]
+    coincidence *= filter_t[None, :, None, None]
+    matrix = coincidence.reshape(D * D, D * D)
+    success = np.linalg.norm(matrix, axis=0) ** 2
 
     alpha, beta, gamma = _diagonal_corrections(matrix, D, k)
     return PostSelectedOperator(

@@ -62,6 +62,32 @@ def propagate_paraxial(field: ModeField, zeta) -> ModeField:
     return ModeField(field.coefficients * phases, field.truncation)
 
 
+def _slit_basis(spec: GratingSpec, D: int) -> np.ndarray:
+    """Mode coefficients of the D slit states, one column per level."""
+    return np.column_stack(
+        [basis_wavefunction(spec, D, d).coefficients for d in range(D)]
+    )
+
+
+def _project(columns: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Least-squares weights of `target` on `columns`, with fit diagnostics.
+
+    Returns (weights, residual, condition): the residual is the fit error
+    relative to |target| (0 for a zero target) and the condition number is
+    the ratio of extreme singular values of `columns` (inf when rank
+    deficient).
+    """
+    weights, _, _, singular_values = np.linalg.lstsq(columns, target, rcond=None)
+    scale = float(np.linalg.norm(target))
+    residual = float(np.linalg.norm(columns @ weights - target)) / scale if scale else 0.0
+    condition = (
+        float(singular_values[0] / singular_values[-1])
+        if singular_values[-1] > 0
+        else float("inf")
+    )
+    return weights, residual, condition
+
+
 @dataclass(frozen=True)
 class ReplicaDecomposition:
     """Least-squares weights of period/r translates in a propagated field.
@@ -102,15 +128,7 @@ def replica_decompose(
         [field.translated(j / r).coefficients for j in range(r)]
     )
     propagated = propagate_paraxial(field, zeta).coefficients
-    weights, _, _, singular_values = np.linalg.lstsq(translates, propagated, rcond=None)
-    fit = translates @ weights
-    scale = float(np.linalg.norm(propagated))
-    residual = float(np.linalg.norm(fit - propagated)) / scale if scale else 0.0
-    condition = (
-        float(singular_values[0] / singular_values[-1])
-        if singular_values[-1] > 0
-        else float("inf")
-    )
+    weights, residual, condition = _project(translates, propagated)
     orthogonal = None if slit_width is None else bool(slit_width * r <= 1.0)
     return ReplicaDecomposition(
         zeta=zeta,
@@ -149,21 +167,14 @@ def gate_crosscheck(
     if spec is None:
         spec = GratingSpec(slit_width=1.0 / (2 * D), mode_truncation=256)
     r = talbot_cycle_length(D)
-    basis = np.column_stack(
-        [basis_wavefunction(spec, D, d).coefficients for d in range(D)]
-    )
+    basis = _slit_basis(spec, D)
     reconstructed = np.empty((D, D), dtype=complex)
     max_residual = 0.0
     for d in range(D):
         start = ModeField(basis[:, d], spec.mode_truncation)
         propagated = propagate_paraxial(start, Fraction(q, r)).coefficients
-        column, _, _, _ = np.linalg.lstsq(basis, propagated, rcond=None)
-        fit = basis @ column
-        max_residual = max(
-            max_residual,
-            float(np.linalg.norm(fit - propagated) / np.linalg.norm(propagated)),
-        )
-        reconstructed[:, d] = column
+        reconstructed[:, d], residual, _ = _project(basis, propagated)
+        max_residual = max(max_residual, residual)
     reference = talbot_unitary(D, q)
     overlap = np.vdot(reference, reconstructed)
     if abs(overlap) > 0:

@@ -1,7 +1,8 @@
 """Command line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
-import os
+import pathlib
 import subprocess
 import sys
 
@@ -17,7 +18,9 @@ from talbotsim import (
     program_to_json,
     talbot_unitary,
 )
-from talbotsim.cli import _configure_threads, main
+from talbotsim.cli import main
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 @pytest.fixture()
@@ -74,35 +77,6 @@ def test_verify_single_suite(runner, tmp_path):
 def test_verify_unknown_suite_is_usage_error(runner):
     result = runner.invoke(main, ["verify", "--suite", "bogus"])
     assert result.exit_code == 2
-
-
-# ---------------------------------------------------------------------------
-# thread cap
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_invalid_thread_cap_is_usage_error(runner, value):
-    result = runner.invoke(
-        main, ["gate", "--dim", "2"], env={"TALBOT_THREADS": value}
-    )
-    assert result.exit_code == 2
-
-
-def test_valid_thread_cap_accepted(runner):
-    result = runner.invoke(
-        main, ["gate", "--dim", "2"], env={"TALBOT_THREADS": "2"}
-    )
-    assert result.exit_code == 0
-
-
-def test_thread_cap_exported_but_not_overriding(monkeypatch):
-    monkeypatch.setenv("TALBOT_THREADS", "3")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
-    _configure_threads()
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +301,26 @@ def test_czgate_validation(runner):
     assert runner.invoke(main, ["czgate", "--dim", "3", "--control", "3"]).exit_code == 2
 
 
+def test_default_gate_algebra_bytes_match_golden_hashes(runner, tmp_path):
+    golden = json.loads(GOLDEN.read_text())["gate_algebra"]
+    commands = {
+        "golden_gate.json": ["gate", "-d", "5", "-q", "3"],
+        "golden_cz.json": ["czgate", "-d", "3", "-k", "1"],
+    }
+    for name, args in commands.items():
+        path = tmp_path / name
+        assert runner.invoke(main, [*args, "--out", str(path)]).exit_code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[name]
+
+
 # ---------------------------------------------------------------------------
 # module entry point and byte determinism
 # ---------------------------------------------------------------------------
 
 
-def run_module(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_module(args):
     return subprocess.run(
-        [sys.executable, "-m", "talbotsim", *args],
-        capture_output=True,
-        env=env,
-        check=False,
+        [sys.executable, "-m", "talbotsim", *args], capture_output=True, check=False
     )
 
 
@@ -355,11 +335,3 @@ def test_gate_output_is_byte_deterministic():
     second = run_module(["gate", "--dim", "4", "--steps", "3"])
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-
-
-def test_fidelity_bytes_independent_of_thread_cap():
-    args = ["fidelity", "--n-slits", "5", "--m-max", "2", "--n-x", "4096"]
-    one = run_module(args, {"TALBOT_THREADS": "1"})
-    four = run_module(args, {"TALBOT_THREADS": "4"})
-    assert one.returncode == four.returncode == 0
-    assert one.stdout == four.stdout

@@ -38,6 +38,29 @@ def test_matches_fourier_oracle(D, q):
     assert np.abs(talbot_unitary(D, q) - oracle_unitary(D, q)).max() < 1e-12
 
 
+def rowwise_reference_unitary(D: int, q: int) -> np.ndarray:
+    """The step applied as a row-by-row cyclic convolution, one Python sum
+    per entry: c_i = sum_k a_{i-k} b_k with indices mod D."""
+    a = talbot_step_coefficients(D)
+    idx = np.arange(D)
+    column = np.zeros(D, dtype=complex)
+    column[0] = 1.0
+    for _ in range(q % talbot_cycle_length(D)):
+        column = np.asarray([(a[(i - idx) % D] * column).sum() for i in range(D)])
+    return circulant(column)
+
+
+@pytest.mark.parametrize("D", [*DIMS, 64])
+def test_bitwise_equal_to_rowwise_convolution(D):
+    cycle = talbot_cycle_length(D)
+    for q in (-1, 0, 1, 2, 3, D, 2 * D - 1, cycle + 1):
+        U = talbot_unitary(D, q)
+        reference = rowwise_reference_unitary(D, q)
+        assert np.array_equal(U, reference), (D, q)
+        assert np.array_equal(np.signbit(U.real), np.signbit(reference.real)), (D, q)
+        assert np.array_equal(np.signbit(U.imag), np.signbit(reference.imag)), (D, q)
+
+
 @pytest.mark.parametrize("D", DIMS)
 def test_unitarity_and_cycle(D):
     U = talbot_unitary(D, 1)

@@ -10,6 +10,7 @@ is never needed (a photon in a dump path can no longer reach a and b).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,50 @@ def test_build_cz_matches_four_path_oracle(D, k):
     op = build_cz(D, k)
     oracle = four_path_cz_matrix(D, k)
     assert np.abs(op.matrix - oracle).max() < 1e-12
+
+
+def per_state_cz(D: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, success) evolving one coincident input pair at a time."""
+    P = np.eye(2 * D)
+    for d in range(D):
+        if d != k:
+            P[[d, D + d]] = P[[D + d, d]]
+    mode_map = P @ sdbs_mode_map(control_splitter(D, k))
+    filter_t = filter_splitter(D, k).transmission.real
+    matrix = np.zeros((D * D, D * D), dtype=complex)
+    success = np.zeros(D * D)
+    for d in range(D):
+        for f in range(D):
+            state = TwoPhotonState.coincident_pair(D, d, f)
+            C, _ = post_select_coincidence(apply_mode_map(state, mode_map))
+            column = (filter_t[:, None] * C * filter_t[None, :]).reshape(-1)
+            matrix[:, d * D + f] = column
+            success[d * D + f] = float(np.linalg.norm(column) ** 2)
+    return matrix, success
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+def test_build_cz_bitwise_equal_to_per_state_evolution(D):
+    for k in range(D):
+        op = build_cz(D, k)
+        matrix, success = per_state_cz(D, k)
+        assert np.array_equal(op.matrix, matrix), k
+        assert np.array_equal(op.success_probabilities, success), k
+        assert np.array_equal(np.signbit(op.matrix.real), np.signbit(matrix.real)), k
+        assert np.array_equal(np.signbit(op.matrix.imag), np.signbit(matrix.imag)), k
+
+
+@pytest.mark.parametrize("k", [0, 7, 15])
+def test_build_cz_memory_is_output_sized(k):
+    D = 16
+    tracemalloc.start()
+    try:
+        op = build_cz(D, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.matrix.shape == (D * D, D * D)
+    assert peak < 2.5 * 16 * D**4
 
 
 # ---------------------------------------------------------------------------
