@@ -14,12 +14,19 @@ and one batched inverse FFT along x gives every row of the block.  The CLI
 streams a carpet's CSV to disk line by line (serialize.write_csv).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .grating import GratingSpec, ModeField, basis_wavefunction, grating_coefficients
+from .grating import (
+    _BLOCK_ENTRIES,
+    GratingSpec,
+    ModeField,
+    basis_wavefunction,
+    grating_coefficients,
+)
 from .programs import OpticalProgram, Propagate
 from .propagation import _paraxial_phases, _project, _slit_basis, propagate_paraxial
 
@@ -58,14 +65,9 @@ def _sample_grid(z_steps: int, x_steps: int, zeta_span) -> tuple[np.ndarray, np.
     if z_steps < 2 or x_steps < 2:
         raise ValueError(f"need at least a 2x2 grid, got {z_steps}x{x_steps}")
     lo, hi = (float(zeta_span[0]), float(zeta_span[1]))
-    if not hi > lo:
-        raise ValueError(f"zeta span must increase, got {zeta_span}")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"zeta span must be finite and increase, got {zeta_span}")
     return np.linspace(lo, hi, z_steps), np.arange(x_steps) / x_steps
-
-
-# Complex entries per synthesis block; rows are batched up to this size, so
-# temporaries stay bounded however many modes a field carries.
-_BLOCK_ENTRIES = 1 << 18
 
 
 def _intensity_rows(segments, zeta_grid, x_steps: int) -> np.ndarray:

@@ -10,7 +10,6 @@ launch, since the backend reads them only when numpy is first imported.
 
 import json
 import sys
-from fractions import Fraction
 
 import click
 import numpy as np
@@ -22,7 +21,6 @@ from .fidelity import (
     DEFAULT_SAMPLES,
     DEFAULT_SLIT_WIDTH,
     DEFAULT_WAVELENGTH,
-    MIN_EXTENT_FACTOR,
     fidelity_sweep,
 )
 from .gates import talbot_unitary
@@ -35,6 +33,7 @@ from .serialize import (
     format_csv,
     matrix_to_json,
     postselected_to_json,
+    program_from_json,
     program_to_json,
     write_csv,
     write_pgm,
@@ -60,21 +59,37 @@ def _write_text(path: str, text: str) -> None:
     _write(path, _save_text, text)
 
 
+class _LibraryCommand(click.Command):
+    """A command whose library ValueError becomes a usage error (exit 2).
+
+    The library validates its own input, so the commands repeat none of
+    its checks; this is the one place where its errors meet the CLI.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as error:
+            raise click.UsageError(str(error), ctx) from error
+
+
 @click.group()
 def main() -> None:
     """Talbot carpets, qudit gates, and post-selected two-photon operations."""
 
 
+main.command_class = _LibraryCommand
+
+
 @main.command()
-@click.option("--dim", "-d", type=int, required=True, help="Number of levels.")
+@click.option("--dim", "-d", type=click.IntRange(min=1), required=True,
+              help="Number of levels.")
 @click.option("--steps", "-q", type=int, default=1, show_default=True,
               help="Canonical Talbot steps (may be negative).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the matrix JSON here instead of stdout.")
 def gate(dim: int, steps: int, out: str | None) -> None:
     """Print or save the q-step Talbot unitary."""
-    if dim < 1:
-        raise click.UsageError(f"--dim must be >= 1, got {dim}")
     payload = {"kind": "talbot_unitary", "steps": steps}
     payload.update(matrix_to_json(talbot_unitary(dim, steps)))
     text = dumps(payload)
@@ -85,13 +100,10 @@ def gate(dim: int, steps: int, out: str | None) -> None:
 
 
 def _load_program(path: str):
-    from .serialize import program_from_json
-
     try:
         with open(path, "r", encoding="ascii") as handle:
-            payload = json.load(handle)
-        return program_from_json(payload)
-    except (OSError, ValueError, KeyError) as error:
+            return program_from_json(json.load(handle))
+    except (OSError, ValueError) as error:
         raise click.UsageError(f"cannot load program {path}: {error}")
 
 
@@ -112,19 +124,12 @@ def _load_program(path: str):
 def carpet(slit_ratio, wavelength, truncation, zeta_min, zeta_max, z_steps, x_steps,
            program_path, initial_level, out, csv_path) -> None:
     """Render an intensity carpet and report revival rows."""
-    try:
-        spec = GratingSpec(
-            slit_width=slit_ratio, wavelength=wavelength, mode_truncation=truncation
-        )
-        if program_path is None:
-            image = render_carpet(spec, (zeta_min, zeta_max), z_steps, x_steps)
-        else:
-            program = _load_program(program_path)
-            image = render_program_carpet(
-                spec, program, z_steps, x_steps, initial_level=initial_level
-            )
-    except ValueError as error:
-        raise click.UsageError(str(error))
+    spec = GratingSpec(slit_width=slit_ratio, wavelength=wavelength, mode_truncation=truncation)
+    if program_path is None:
+        image = render_carpet(spec, (zeta_min, zeta_max), z_steps, x_steps)
+    else:
+        program = _load_program(program_path)
+        image = render_program_carpet(spec, program, z_steps, x_steps, initial_level=initial_level)
     _write(out, write_pgm, image.intensity)
     if csv_path is not None:
         metadata = {
@@ -168,7 +173,7 @@ def verify(suite: str, json_out: str | None) -> None:
 @main.command()
 @click.option("--n-slits", default="5,20,100", show_default=True,
               help="Comma-separated envelope widths (illuminated slit counts).")
-@click.option("--m-max", type=int, default=10, show_default=True,
+@click.option("--m-max", type=click.IntRange(min=1), default=10, show_default=True,
               help="Sweep revival orders 1..m-max.")
 @click.option("--slit-ratio", type=float, default=DEFAULT_SLIT_WIDTH, show_default=True)
 @click.option("--wavelength", type=float, default=DEFAULT_WAVELENGTH, show_default=True)
@@ -188,26 +193,16 @@ def fidelity(n_slits, m_max, slit_ratio, wavelength, truncation, n_x, extent_fac
         raise click.UsageError(f"--n-slits must be comma-separated numbers, got {n_slits!r}")
     if not widths:
         raise click.UsageError("--n-slits must name at least one width")
-    if m_max < 1:
-        raise click.UsageError(f"--m-max must be >= 1, got {m_max}")
-    if extent_factor < MIN_EXTENT_FACTOR:
-        raise click.UsageError(
-            f"--extent-factor must be >= {MIN_EXTENT_FACTOR} to keep the grid "
-            f"boundary away from the envelope, got {extent_factor}"
-        )
-    try:
-        rows = fidelity_sweep(
-            n_slits=widths,
-            m_list=tuple(range(1, m_max + 1)),
-            slit_width=slit_ratio,
-            wavelength=wavelength,
-            mode_truncation=truncation,
-            n_x=n_x,
-            extent_factor=extent_factor,
-            include_periodic_control=periodic_control,
-        )
-    except ValueError as error:
-        raise click.UsageError(str(error))
+    rows = fidelity_sweep(
+        n_slits=widths,
+        m_list=tuple(range(1, m_max + 1)),
+        slit_width=slit_ratio,
+        wavelength=wavelength,
+        mode_truncation=truncation,
+        n_x=n_x,
+        extent_factor=extent_factor,
+        include_periodic_control=periodic_control,
+    )
     metadata = {
         "slit_ratio": slit_ratio,
         "wavelength": wavelength,
@@ -247,24 +242,17 @@ def prepare(theta, phi, out_prefix, slit_ratio, wavelength, truncation,
             z_steps, x_steps) -> None:
     """Emit the Bloch-state preparation program, its carpet, and mask table."""
     program, state = prepare_bloch_state(theta, phi)
-    try:
-        spec = GratingSpec(
-            slit_width=slit_ratio, wavelength=wavelength, mode_truncation=truncation
-        )
-        image = render_program_carpet(spec, program, z_steps, x_steps)
-    except ValueError as error:
-        raise click.UsageError(str(error))
+    spec = GratingSpec(slit_width=slit_ratio, wavelength=wavelength, mode_truncation=truncation)
+    image = render_program_carpet(spec, program, z_steps, x_steps)
     _write_text(out_prefix + "_program.json", dumps(program_to_json(program)))
     _write(out_prefix + "_carpet.pgm", write_pgm, image.intensity)
 
-    positions = program.mask_positions()
-    masks = [step for step in program.steps if isinstance(step, PhaseMask)]
+    masks = [step.phases for step in program.steps if isinstance(step, PhaseMask)]
     mask_rows = [
-        (index, float(position), *[float(p) for p in mask.phases])
-        for index, (position, mask) in enumerate(zip(positions, masks))
+        (index, position, *phases)
+        for index, (position, phases) in enumerate(zip(image.mask_positions, masks))
     ]
-    dim = program.dim
-    header = ["index", "zeta", *[f"phase_{d}" for d in range(dim)]]
+    header = ["index", "zeta", *[f"phase_{d}" for d in range(program.dim)]]
     _write(out_prefix + "_masks.csv", write_csv, header, mask_rows)
 
     probabilities = measure_probabilities(state)
@@ -279,19 +267,13 @@ def prepare(theta, phi, out_prefix, slit_ratio, wavelength, truncation,
 
 
 @main.command()
-@click.option("--dim", "-d", type=int, required=True)
+@click.option("--dim", "-d", type=click.IntRange(min=2), required=True)
 @click.option("--control", "-k", type=int, required=True,
               help="Level picking up the pi phase.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the operator JSON here instead of stdout.")
 def czgate(dim: int, control: int, out: str | None) -> None:
     """Build the post-selected controlled-Z and report its figures of merit."""
-    if dim < 2:
-        raise click.UsageError(f"--dim must be >= 2, got {dim}")
-    if not 0 <= control < dim:
-        raise click.UsageError(
-            f"--control must be in [0, {dim}), got {control}"
-        )
     op = build_cz(dim, control)
     moduli = np.abs(np.diagonal(op.matrix))
     chi = interaction_phase_signature(op.matrix)

@@ -8,6 +8,7 @@ shortcut, and optionally appends the ideal periodic control computed in
 the mode picture.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,9 +60,9 @@ def synthesize_gaussian_comb(
     """
     if spec.envelope_sigma is None:
         raise ValueError("spec.envelope_sigma is required to synthesize a finite comb")
-    if extent_factor < MIN_EXTENT_FACTOR:
+    if not MIN_EXTENT_FACTOR <= extent_factor < math.inf:
         raise ValueError(
-            f"extent_factor must be >= {MIN_EXTENT_FACTOR}, got {extent_factor}"
+            f"extent_factor must be finite and >= {MIN_EXTENT_FACTOR}, got {extent_factor}"
         )
     sigma = spec.envelope_sigma
     extent = extent_factor * sigma

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import closed_form_even, closed_form_odd, gauss_coefficients, jacobi_symbol
+from .gauss import closed_form_even, closed_form_odd, jacobi_symbol
 
 __all__ = [
     "pauli_shift",

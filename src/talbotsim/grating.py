@@ -6,6 +6,7 @@ A field is represented by complex amplitudes on the plane-wave modes
 exp(2i pi m x), m = -M .. M.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,11 @@ __all__ = [
     "basis_wavefunction",
     "mean_orthogonality",
 ]
+
+# Complex entries per synthesis block, here and for carpet rows: work is
+# batched up to this size, so temporaries stay bounded however many modes a
+# field carries.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -39,15 +45,15 @@ class GratingSpec:
     def __post_init__(self):
         if not 0 < self.slit_width <= 1:
             raise ValueError(f"slit_width must be in (0, 1], got {self.slit_width}")
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        if not 0 < self.wavelength < math.inf:
+            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength}")
         if self.mode_truncation < 1:
             raise ValueError(
                 f"mode_truncation must be >= 1, got {self.mode_truncation}"
             )
-        if self.envelope_sigma is not None and self.envelope_sigma <= 0:
+        if self.envelope_sigma is not None and not 0 < self.envelope_sigma < math.inf:
             raise ValueError(
-                f"envelope_sigma must be positive, got {self.envelope_sigma}"
+                f"envelope_sigma must be positive and finite, got {self.envelope_sigma}"
             )
 
     @property
@@ -101,9 +107,19 @@ class ModeField:
         return ModeField(self.coefficients * phases, self.truncation)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Complex field values at positions x (in periods)."""
-        x = np.asarray(x, dtype=float)
-        return np.exp(2j * np.pi * np.outer(x, self.modes)) @ self.coefficients
+        """Complex field values at positions x (in periods), as a flat vector.
+
+        Positions are summed in blocks of at most _BLOCK_ENTRIES complex
+        entries, so memory is bounded by the output, not by samples x modes.
+        """
+        x = np.asarray(x, dtype=float).ravel()
+        modes = self.modes
+        values = np.empty(len(x), dtype=complex)
+        block = max(1, _BLOCK_ENTRIES // len(modes))
+        for lo in range(0, len(x), block):
+            phases = np.exp(2j * np.pi * np.outer(x[lo:lo + block], modes))
+            values[lo:lo + block] = phases @ self.coefficients
+        return values
 
 
 def grating_coefficients(spec: GratingSpec) -> ModeField:

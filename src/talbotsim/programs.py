@@ -8,6 +8,7 @@ unitaries.  Steps are listed in the order light traverses them; the
 compiled matrix is the reverse-order product.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,7 +47,10 @@ class PhaseMask:
     phases: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+        phases = tuple(float(p) for p in self.phases)
+        if not all(math.isfinite(p) for p in phases):
+            raise ValueError(f"mask phases must be finite, got {phases}")
+        object.__setattr__(self, "phases", phases)
 
 
 @dataclass(frozen=True)

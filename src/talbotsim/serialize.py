@@ -68,16 +68,20 @@ def program_to_json(program: OpticalProgram) -> dict:
 
 
 def program_from_json(payload: dict) -> OpticalProgram:
-    steps = []
-    for index, entry in enumerate(payload["steps"]):
-        if "propagate" in entry:
-            frac = entry["propagate"]
-            steps.append(Propagate(Fraction(int(frac["num"]), int(frac["den"]))))
-        elif "phase_mask" in entry:
-            steps.append(PhaseMask(tuple(float(p) for p in entry["phase_mask"])))
-        else:
-            raise ValueError(f"step {index}: unknown step kind {sorted(entry)}")
-    return OpticalProgram(dim=int(payload["dim"]), steps=tuple(steps))
+    """Inverse of program_to_json; a malformed payload raises ValueError."""
+    try:
+        steps = []
+        for index, entry in enumerate(payload["steps"]):
+            if "propagate" in entry:
+                frac = entry["propagate"]
+                steps.append(Propagate(Fraction(int(frac["num"]), int(frac["den"]))))
+            elif "phase_mask" in entry:
+                steps.append(PhaseMask(tuple(float(p) for p in entry["phase_mask"])))
+            else:
+                raise ValueError(f"step {index}: unknown step kind {sorted(entry)}")
+        return OpticalProgram(dim=int(payload["dim"]), steps=tuple(steps))
+    except (KeyError, TypeError, ArithmeticError) as error:
+        raise ValueError(f"malformed program: {type(error).__name__}: {error}") from error
 
 
 def postselected_to_json(op) -> dict:

@@ -111,6 +111,9 @@ def test_grid_validation():
         render_carpet(spec, z_steps=64, x_steps=1)
     with pytest.raises(ValueError, match="increase"):
         render_carpet(spec, zeta_span=(1.0, 0.5))
+    for span in ((0.0, float("inf")), (float("-inf"), 1.0), (float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            render_carpet(spec, zeta_span=span)
 
 
 def test_carpet_image_shape_validation():

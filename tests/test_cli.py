@@ -50,11 +50,6 @@ def test_gate_out_file_equals_stdout(runner, tmp_path):
     assert out.read_text() == to_stdout.output
 
 
-def test_gate_rejects_bad_dim(runner):
-    result = runner.invoke(main, ["gate", "--dim", "0"])
-    assert result.exit_code == 2
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -296,11 +291,6 @@ def test_czgate_stdout_payload(runner):
     assert np.abs(matrix_from_json(payload["matrix"]) - op.matrix).max() < 1e-15
 
 
-def test_czgate_validation(runner):
-    assert runner.invoke(main, ["czgate", "--dim", "1", "--control", "0"]).exit_code == 2
-    assert runner.invoke(main, ["czgate", "--dim", "3", "--control", "3"]).exit_code == 2
-
-
 def test_default_gate_algebra_bytes_match_golden_hashes(runner, tmp_path):
     golden = json.loads(GOLDEN.read_text())["gate_algebra"]
     commands = {
@@ -311,6 +301,50 @@ def test_default_gate_algebra_bytes_match_golden_hashes(runner, tmp_path):
         path = tmp_path / name
         assert runner.invoke(main, [*args, "--out", str(path)]).exit_code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[name]
+
+
+# ---------------------------------------------------------------------------
+# bad input: exit 2 with a message, never a traceback
+# ---------------------------------------------------------------------------
+
+MALFORMED_PROGRAMS = {
+    "zero-den": '{"dim": 2, "steps": [{"propagate": {"num": 1, "den": 0}}]}',
+    "steps-int": '{"dim": 2, "steps": 5}',
+    "top-level-list": '[{"dim": 2, "steps": []}]',
+    "step-int": '{"dim": 2, "steps": [5]}',
+    "inf-num": '{"dim": 2, "steps": [{"propagate": {"num": 1e999, "den": 1}}]}',
+    "nan-phase": '{"dim": 2, "steps": [{"phase_mask": [0.0, NaN]}]}',
+    "not-json": "{",
+}
+
+BAD_INPUT = {
+    "gate-dim-0": ["gate", "-d", "0"],
+    "czgate-dim-1": ["czgate", "-d", "1", "-k", "0"],
+    "czgate-control-3": ["czgate", "-d", "3", "-k", "3"],
+    "fidelity-extent-4": ["fidelity", "--extent-factor", "4"],
+    "fidelity-extent-nan": ["fidelity", "--extent-factor", "nan"],
+    "fidelity-n-slits-inf": ["fidelity", "--n-slits", "inf"],
+    "fidelity-wavelength-inf": ["fidelity", "--wavelength", "inf"],
+    "carpet-zeta-max-inf": ["carpet", "--zeta-max", "inf", "--out", "out.pgm"],
+    "prepare-theta-inf": ["prepare", "--theta", "inf", "--phi", "0", "--out-prefix", "out"],
+    **{
+        f"program-{name}": ["carpet", "--program", name, "--out", "out.pgm"]
+        for name in MALFORMED_PROGRAMS
+    },
+}
+
+
+@pytest.mark.parametrize("args", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    for name, text in MALFORMED_PROGRAMS.items():
+        (tmp_path / name).write_text(text)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output
+    assert "Traceback" not in result.output
+    assert not any(tmp_path.glob("out*"))
 
 
 # ---------------------------------------------------------------------------

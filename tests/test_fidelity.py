@@ -140,8 +140,9 @@ def test_synthesize_requires_envelope():
 
 def test_synthesize_refuses_tight_extent():
     spec = GratingSpec(slit_width=0.5, mode_truncation=4, envelope_sigma=5.0)
-    with pytest.raises(ValueError, match="extent_factor"):
-        synthesize_gaussian_comb(spec, extent_factor=4.0)
+    for bad in (4.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="extent_factor"):
+            synthesize_gaussian_comb(spec, extent_factor=bad)
 
 
 def test_revival_fidelity_drops_with_distance():

@@ -1,6 +1,8 @@
 """Grating mode coefficients against quadrature, orthogonality against
 dense-grid integration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,32 @@ def test_parseval_norm_against_grid():
     assert abs(field.norm() ** 2 - grid_norm_sq) < 1e-6
 
 
+def test_evaluate_shape_and_blocks_match_dense_sum():
+    field = grating_coefficients(GratingSpec(slit_width=0.3, mode_truncation=300))
+    x = np.linspace(-2.0, 3.0, 3 * 1000).reshape(3, 1000)
+    dense = np.exp(2j * np.pi * np.outer(x, field.modes)) @ field.coefficients
+    values = field.evaluate(x)
+    # 601 modes give blocks of 436 positions, so the 3000 span several
+    assert values.shape == (3000,)
+    assert np.abs(values - dense).max() < 1e-12
+    assert field.evaluate(0.25).shape == (1,)
+    assert field.evaluate(np.array([])).shape == (0,)
+
+
+def test_evaluate_memory_is_output_sized():
+    field = grating_coefficients(GratingSpec(slit_width=0.3, mode_truncation=128))
+    x = np.linspace(0.0, 1.0, 1 << 16, endpoint=False)
+    tracemalloc.start()
+    try:
+        values = field.evaluate(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == x.shape
+    # the dense 2^16 x 257 phase matrix alone is 270 MB
+    assert peak < 32 * 2**20
+
+
 def test_translation_covariance_on_grid():
     spec = GratingSpec(slit_width=0.2, mode_truncation=64)
     x = np.linspace(0.0, 1.0, 701, endpoint=False)
@@ -123,6 +151,11 @@ def test_spec_validation():
         GratingSpec(mode_truncation=0)
     with pytest.raises(ValueError):
         GratingSpec(envelope_sigma=0.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            GratingSpec(wavelength=bad)
+        with pytest.raises(ValueError, match="finite"):
+            GratingSpec(envelope_sigma=bad)
     assert GratingSpec(wavelength=0.01).talbot_length == 100.0
 
 

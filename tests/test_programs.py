@@ -127,3 +127,6 @@ def test_program_step_validation():
         OpticalProgram(dim=2, steps=("propagate",))
     with pytest.raises(ValueError):
         OpticalProgram(dim=0, steps=())
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseMask((0.0, bad))

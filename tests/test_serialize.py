@@ -65,6 +65,26 @@ def test_program_json_structure():
     assert payload["steps"][1]["phase_mask"][0] == pytest.approx(np.pi / 4)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dim": 2, "steps": [{"propagate": {"num": 1, "den": 0}}]},
+        {"dim": 2, "steps": [{"propagate": {"num": float("inf"), "den": 1}}]},
+        {"dim": 2, "steps": 5},
+        {"dim": 2, "steps": [5]},
+        {"dim": 2, "steps": [{"propagate": 5}]},
+        {"steps": []},
+        [{"dim": 2, "steps": []}],
+        {"dim": 2, "steps": [{"phase_mask": [0.0, float("nan")]}]},
+    ],
+    ids=["zero-den", "inf-num", "steps-int", "step-int", "propagate-int", "no-dim",
+         "top-level-list", "nan-phase"],
+)
+def test_program_from_json_malformed_payload_is_value_error(payload):
+    with pytest.raises(ValueError):
+        program_from_json(payload)
+
+
 def test_program_from_json_rejects_unknown_step():
     with pytest.raises(ValueError, match="step 1"):
         program_from_json(
