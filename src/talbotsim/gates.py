@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import closed_form_even, closed_form_odd, jacobi_symbol
+from .gauss import gauss_coefficients, jacobi_symbol
 
 __all__ = [
     "pauli_shift",
@@ -53,9 +53,8 @@ def talbot_step_coefficients(D: int) -> np.ndarray:
     the r = 2D copies on the D slit sites.  Odd D: the weights at
     zeta = 1/D directly.
     """
-    if D % 2 == 0:
-        return np.asarray(closed_form_even(D))[::2].copy()
-    return np.asarray(closed_form_odd(D)).copy()
+    r = talbot_cycle_length(D)
+    return gauss_coefficients(1, r)[:: r // D]
 
 
 def circulant(column: np.ndarray) -> np.ndarray:

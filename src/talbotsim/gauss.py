@@ -3,49 +3,21 @@
 At a reduced propagation distance zeta = q/r (in units of twice the Talbot
 length, gcd(q, r) = 1) a periodic field revives as a superposition of r
 copies of itself shifted by multiples of period/r.  The copy weights are
-quadratic Gauss sums; this module computes them directly and via closed
-forms, which exist whenever q = 1.
+quadratic Gauss sums.  Completing the square evaluates all r of them in
+closed form for every q/r, in O(r) time and memory, each phase taken from
+an integer exponent mod r (Hannay & Berry, Physica D 1, 267 (1980); Berry &
+Klein, J. Mod. Opt. 43, 2139 (1996)).
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
-__all__ = [
-    "GaussCoefficients",
-    "gauss_coefficients",
-    "closed_form_even",
-    "closed_form_odd",
-    "jacobi_symbol",
-]
+__all__ = ["gauss_coefficients", "jacobi_symbol"]
 
 
-@dataclass(frozen=True)
-class GaussCoefficients:
-    """Shift-copy weights b_0 .. b_{r-1} at reduced distance q/r."""
-
-    q: int
-    r: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.r
-
-    def __getitem__(self, j):
-        return self.values[j]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.values.astype(dtype)
-        return self.values.copy() if copy else self.values
-
-
-def gauss_coefficients(q: int, r: int) -> GaussCoefficients:
-    """Weights b_j = (1/r) sum_n exp(-2i pi (q n^2 - j n) / r).
+def gauss_coefficients(q: int, r: int) -> np.ndarray:
+    """Weights b_j = (1/r) sum_n exp(-2i pi (q n^2 - j n) / r), j = 0 .. r-1.
 
     The q in the exponent multiplies only the quadratic term; this is what
     makes the defining property
@@ -55,6 +27,18 @@ def gauss_coefficients(q: int, r: int) -> GaussCoefficients:
     hold for every integer mode index m, i.e. the shifted copies resum to
     the quadratic mode phases of paraxial propagation.
 
+    No sum is taken.  With e(x) = exp(2i pi x), inverses mod r and q
+    reduced mod r:
+
+    - r odd: b_j = (q|r) conj(eps_r) / sqrt(r) * e(j^2 (4q)^-1 / r), where
+      eps_r = 1 for r = 1 mod 4 and i for r = 3 mod 4.
+    - r = 0 mod 4: odd j vanish and
+      b_2k = (r|q) exp(-+i pi/4) / sqrt(r/2) * e(k^2 q^-1 / r), with the
+      upper sign for q = 1 mod 4.
+    - r = 2 mod 4: even j vanish; splitting n mod r into n mod 2 and
+      n mod s, s = r/2, makes each odd j the odd-modulus weight at s with q
+      and j scaled by 2^-1 mod s.
+
     Requires r >= 1 and gcd(q, r) = 1; reduce the fraction q/r first.
     """
     if r < 1:
@@ -63,48 +47,35 @@ def gauss_coefficients(q: int, r: int) -> GaussCoefficients:
         raise ValueError(
             f"q/r must be in lowest terms, got q={q}, r={r} with gcd {gcd(q, r)}"
         )
-    n = np.arange(r)
+    q %= r
     j = np.arange(r)
-    # Integer exponents mod r keep each phase exact to one ulp.
-    exponent = (q * n[None, :] ** 2 - j[:, None] * n[None, :]) % r
-    values = np.exp(-2j * np.pi * exponent / r).mean(axis=1)
-    return GaussCoefficients(q=q % r if r > 1 else 0, r=r, values=values)
+    if r % 2:
+        return _odd_modulus_weights(q, r, j)
+    values = np.zeros(r, dtype=complex)
+    if r % 4 == 2:
+        s = r // 2
+        half = pow(2, -1, s)
+        values[1::2] = _odd_modulus_weights(q * half % s, s, j[1::2] * half % s)
+        return values
+    k = j[: r // 2]
+    exponent = (k * k % r) * pow(q, -1, r) % r
+    unit = np.exp(-1j * np.pi / 4) if q % 4 == 1 else np.exp(1j * np.pi / 4)
+    if jacobi_symbol(r, q) < 0:
+        unit = -unit
+    values[::2] = unit * np.exp(2j * np.pi * exponent / r) / np.sqrt(r // 2)
+    return values
 
 
-def closed_form_even(D: int) -> GaussCoefficients:
-    """Evaluate b at zeta = 1/(2D) for even D without summing.
-
-    Only even shifts survive: b_{2d} = exp(-i pi/4) exp(i pi d^2 / D) / sqrt(D),
-    odd entries are exactly zero.  Agrees with gauss_coefficients(1, 2*D).
-    """
-    if D < 2 or D % 2:
-        raise ValueError(f"D must be even and >= 2, got {D}")
-    d = np.arange(D)
-    values = np.zeros(2 * D, dtype=complex)
-    values[::2] = np.exp(-1j * np.pi / 4) * np.exp(1j * np.pi * d**2 / D) / np.sqrt(D)
-    return GaussCoefficients(q=1, r=2 * D, values=values)
-
-
-def closed_form_odd(D: int) -> GaussCoefficients:
-    """Evaluate b at zeta = 1/D for odd D without summing.
-
-    b_d = c_D exp(i pi (D+1)^2 d^2 / (2 D)) / sqrt(D)
-
-    with c_D = 1 for D = 1 mod 4 and -i for D = 3 mod 4; equivalently
-    c_D = (2|D) exp(i pi (D-1)/4) with (2|D) the Jacobi symbol.  The
-    quadratic phase can be read as exp(2i pi h^2 d^2 / D) with
-    h = (D+1)/2, the inverse of 2 mod D.  Agrees with
-    gauss_coefficients(1, D) exactly (global phase 1, not just up to phase).
-    """
-    if D < 1 or D % 2 == 0:
-        raise ValueError(f"D must be odd and >= 1, got {D}")
-    d = np.arange(D)
-    prefactor = (1.0 if D % 4 == 1 else -1j) / np.sqrt(D)
-    # (D+1)^2 d^2 / (2D): half-integer multiples of 1/D, reduced mod 4D to
-    # keep the argument small and exact.
-    exponent = ((D + 1) ** 2 * d**2) % (4 * D)
-    values = prefactor * np.exp(1j * np.pi * exponent / (2 * D))
-    return GaussCoefficients(q=1 % D if D > 1 else 0, r=D, values=values)
+def _odd_modulus_weights(q: int, r: int, j: np.ndarray) -> np.ndarray:
+    """b_j for odd r and 0 <= q, j < r: the odd-r case of gauss_coefficients."""
+    prefactor = (1.0 if r % 4 == 1 else -1j) / np.sqrt(r)
+    if jacobi_symbol(q, r) < 0:
+        prefactor = -prefactor
+    # Integer exponents mod r keep each phase exact to one ulp.  The float
+    # operations here and in the r = 0 mod 4 branch run in the order of the
+    # earlier q = 1 formulas, so odd and qubit gate steps keep their bits.
+    exponent = (j * j % r) * pow(4 * q, -1, r) % r
+    return prefactor * np.exp(2j * np.pi * exponent / r)
 
 
 def jacobi_symbol(a: int, n: int) -> int:

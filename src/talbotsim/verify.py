@@ -18,7 +18,7 @@ from .gates import (
     talbot_cycle_length,
     talbot_unitary,
 )
-from .gauss import closed_form_even, closed_form_odd, gauss_coefficients
+from .gauss import gauss_coefficients
 from .photonpair import (
     build_cz,
     hadamard_input_pair,
@@ -75,13 +75,12 @@ def _run_algebra(dims=tuple(range(2, 13))) -> list[Check]:
                 np.abs(np.linalg.matrix_power(U, D) - pauli_shift(D, D // 2)).max(),
                 1e-10,
             ))
-            closed = np.asarray(closed_form_even(D))
-            direct = np.asarray(gauss_coefficients(1, 2 * D))
-        else:
-            closed = np.asarray(closed_form_odd(D))
-            direct = np.asarray(gauss_coefficients(1, D))
+        # the defining sum over n, as an independent check of the closed form
+        n = np.arange(r)
+        direct = np.exp(-2j * np.pi * ((n * n - n[:, None] * n) % r) / r).mean(axis=1)
         checks.append(_check(
-            "algebra", f"closed form D={D}", np.abs(closed - direct).max(), 1e-12,
+            "algebra", f"closed form D={D}",
+            np.abs(gauss_coefficients(1, r) - direct).max(), 1e-12,
         ))
     # qubit landmarks
     U4 = talbot_unitary(2, 1)

@@ -203,8 +203,9 @@ def test_default_pgm_bytes_match_golden_hashes(tmp_path):
         main, ["prepare", "--theta", "0.8", "--phi", "1.1", "--out-prefix", str(prefix)]
     )
     assert result.exit_code == 0
-    for path in (free, tmp_path / "golden_prep_carpet.pgm"):
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[path.name]
+    assert set(golden) == {free.name, *(p.name for p in tmp_path.glob("golden_prep_*"))}
+    for name, digest in golden.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_carpet_synthesis_memory_is_output_sized():

@@ -69,6 +69,22 @@ def test_verify_single_suite(runner, tmp_path):
     assert all(check["passed"] for check in payload["checks"])
 
 
+def test_verify_all_suites(runner, tmp_path):
+    # benchmark verdicts read the last line; the digest pins the check names
+    # ("suite: name" joined by newlines) so a check cannot vanish unseen
+    report = tmp_path / "report.json"
+    result = runner.invoke(main, ["verify", "--json-out", str(report)])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[-1] == "suite 'all': all checks passed"
+    checks = json.loads(report.read_text())["checks"]
+    assert len(checks) == 128
+    assert all(check["passed"] for check in checks)
+    names = "\n".join(f"{check['suite']}: {check['name']}" for check in checks)
+    assert hashlib.sha256(names.encode()).hexdigest() == (
+        "3c8618ac134f4037e176050413a08dbf31e51ffdfb471c1f454a1b6151d4884d"
+    )
+
+
 def test_verify_unknown_suite_is_usage_error(runner):
     result = runner.invoke(main, ["verify", "--suite", "bogus"])
     assert result.exit_code == 2

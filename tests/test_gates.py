@@ -38,6 +38,14 @@ def test_matches_fourier_oracle(D, q):
     assert np.abs(talbot_unitary(D, q) - oracle_unitary(D, q)).max() < 1e-12
 
 
+@pytest.mark.parametrize("D", [128, 256])
+def test_long_power_matches_fourier_oracle(D):
+    """2D - 1 steps must not pile up the step's phase error: the even step's
+    exponents are reduced mod 2D, so each step carries one-ulp phases."""
+    q = 2 * D - 1
+    assert np.abs(talbot_unitary(D, q) - oracle_unitary(D, q)).max() < 1e-13
+
+
 def rowwise_reference_unitary(D: int, q: int) -> np.ndarray:
     """The step applied as a row-by-row cyclic convolution, one Python sum
     per entry: c_i = sum_k a_{i-k} b_k with indices mod D."""
