@@ -29,13 +29,12 @@ from .measure import measure_probabilities
 from .photonpair import build_cz, ideal_cz_matrix, interaction_phase_signature
 from .programs import PhaseMask, prepare_bloch_state
 from .serialize import (
-    dumps,
-    format_csv,
-    matrix_to_json,
-    postselected_to_json,
+    _matrix_fields,
+    _postselected_fields,
     program_from_json,
     program_to_json,
     write_csv,
+    write_json,
     write_pgm,
 )
 from .verify import format_report, run_suite, suite_names
@@ -50,13 +49,13 @@ def _write(path: str, writer, *args) -> None:
         sys.exit(2)
 
 
-def _save_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(text)
-
-
-def _write_text(path: str, text: str) -> None:
-    _write(path, _save_text, text)
+def _emit(out: str | None, writer, *args) -> None:
+    """writer(out, *args) through _write, or writer(stdout, *args) when out is None."""
+    if out is None:
+        writer(sys.stdout, *args)
+        sys.stdout.flush()
+    else:
+        _write(out, writer, *args)
 
 
 class _LibraryCommand(click.Command):
@@ -91,12 +90,8 @@ main.command_class = _LibraryCommand
 def gate(dim: int, steps: int, out: str | None) -> None:
     """Print or save the q-step Talbot unitary."""
     payload = {"kind": "talbot_unitary", "steps": steps}
-    payload.update(matrix_to_json(talbot_unitary(dim, steps)))
-    text = dumps(payload)
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        _write_text(out, text)
+    payload.update(_matrix_fields(talbot_unitary(dim, steps)))
+    _emit(out, write_json, payload)
 
 
 def _load_program(path: str):
@@ -165,7 +160,7 @@ def verify(suite: str, json_out: str | None) -> None:
     result = run_suite(suite)
     click.echo(format_report(result), nl=False)
     if json_out is not None:
-        _write_text(json_out, dumps(result))
+        _write(json_out, write_json, result)
     if not result["all_passed"]:
         sys.exit(1)
 
@@ -210,7 +205,9 @@ def fidelity(n_slits, m_max, slit_ratio, wavelength, truncation, n_x, extent_fac
         "n_x": n_x,
         "extent_factor": extent_factor,
     }
-    text = format_csv(
+    _emit(
+        out,
+        write_csv,
         ["n_slits", "talbot_periods", "fidelity", "dropped_norm_fraction",
          "aliasing_risk", "periodic_control"],
         (
@@ -220,10 +217,7 @@ def fidelity(n_slits, m_max, slit_ratio, wavelength, truncation, n_x, extent_fac
         ),
         metadata,
     )
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        _write_text(out, text)
+    if out is not None:
         click.echo(f"wrote {out}")
 
 
@@ -244,7 +238,7 @@ def prepare(theta, phi, out_prefix, slit_ratio, wavelength, truncation,
     program, state = prepare_bloch_state(theta, phi)
     spec = GratingSpec(slit_width=slit_ratio, wavelength=wavelength, mode_truncation=truncation)
     image = render_program_carpet(spec, program, z_steps, x_steps)
-    _write_text(out_prefix + "_program.json", dumps(program_to_json(program)))
+    _write(out_prefix + "_program.json", write_json, program_to_json(program))
     _write(out_prefix + "_carpet.pgm", write_pgm, image.intensity)
 
     masks = [step.phases for step in program.steps if isinstance(step, PhaseMask)]
@@ -278,18 +272,15 @@ def czgate(dim: int, control: int, out: str | None) -> None:
     moduli = np.abs(np.diagonal(op.matrix))
     chi = interaction_phase_signature(op.matrix)
     chi_ideal = interaction_phase_signature(ideal_cz_matrix(dim, control))
-    payload = postselected_to_json(op)
+    payload = _postselected_fields(op)
     payload["modulus_range"] = [float(moduli.min()), float(moduli.max())]
     payload["success_probability_range"] = [
         float(op.success_probabilities.min()),
         float(op.success_probabilities.max()),
     ]
     payload["interaction_phase_deviation"] = float(np.abs(chi - chi_ideal).max())
-    text = dumps(payload)
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        _write_text(out, text)
+    _emit(out, write_json, payload)
+    if out is not None:
         click.echo(f"success_probability={float(op.success_probabilities.min())!r}")
         click.echo(f"interaction_phase_deviation={payload['interaction_phase_deviation']!r}")
         click.echo(f"wrote {out}")

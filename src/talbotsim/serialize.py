@@ -2,7 +2,9 @@
 
 Every writer produces byte-identical output for identical inputs: floats
 are rendered by repr (shortest round-trip form), key order is fixed, and
-no timestamps or environment details are embedded.
+no timestamps or environment details are embedded.  JSON and CSV go to a
+path or a text stream a piece at a time (a matrix row, a CSV line), so no
+writer holds the whole text in memory.
 """
 
 import json
@@ -19,6 +21,7 @@ __all__ = [
     "program_from_json",
     "postselected_to_json",
     "dumps",
+    "write_json",
     "write_pgm",
     "format_csv",
     "write_csv",
@@ -29,15 +32,25 @@ def _complex_entry(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def matrix_to_json(matrix: np.ndarray) -> dict:
-    """{"dim": D, "entries": row-major [[{"re", "im"}]]} for a square matrix."""
+def _square(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    return {
-        "dim": int(matrix.shape[0]),
-        "entries": [[_complex_entry(z) for z in row] for row in matrix],
-    }
+    return matrix
+
+
+def _matrix_fields(matrix: np.ndarray) -> dict:
+    # matrix_to_json's fields with the entries left as the ndarray, which
+    # dumps and write_json render row by row: the form the CLI streams.
+    matrix = _square(matrix)
+    return {"dim": int(matrix.shape[0]), "entries": matrix}
+
+
+def matrix_to_json(matrix: np.ndarray) -> dict:
+    """{"dim": D, "entries": row-major [[{"re", "im"}]]} for a square matrix."""
+    payload = _matrix_fields(matrix)
+    payload["entries"] = [[_complex_entry(z) for z in row] for row in payload["entries"]]
+    return payload
 
 
 def matrix_from_json(payload: dict) -> np.ndarray:
@@ -84,12 +97,12 @@ def program_from_json(payload: dict) -> OpticalProgram:
         raise ValueError(f"malformed program: {type(error).__name__}: {error}") from error
 
 
-def postselected_to_json(op) -> dict:
-    """Serialized PostSelectedOperator, corrections included."""
+def _postselected_fields(op) -> dict:
+    # postselected_to_json's fields, its matrix in the _matrix_fields form
     return {
         "dim": op.dim,
         "control_level": op.control_level,
-        "matrix": matrix_to_json(op.matrix),
+        "matrix": _matrix_fields(op.matrix),
         "success_probabilities": [float(p) for p in op.success_probabilities],
         "path_swap_applied": op.path_swap_applied,
         "path_swap_levels": [int(d) for d in op.path_swap_levels],
@@ -101,9 +114,83 @@ def postselected_to_json(op) -> dict:
     }
 
 
+def postselected_to_json(op) -> dict:
+    """Serialized PostSelectedOperator, corrections included."""
+    payload = _postselected_fields(op)
+    payload["matrix"] = matrix_to_json(op.matrix)
+    return payload
+
+
+def _json_chunks(payload):
+    """The text of dumps(payload) in pieces, at most one matrix row per piece."""
+    yield from _json_pieces(payload, 0)
+    yield "\n"
+
+
+def _json_pieces(value, level: int):
+    # json.dumps(value, indent=2) at nesting `level`, a square ndarray taking the
+    # place of the list of {"re", "im"} rows that matrix_to_json would build.
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(value, np.ndarray):
+        yield from _matrix_pieces(value, outer)
+    elif isinstance(value, dict) and value:
+        for index, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield ("{" if index == 0 else ",") + inner + json.dumps(key) + ": "
+            yield from _json_pieces(item, level + 1)
+        yield outer + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        for index, item in enumerate(value):
+            yield ("[" if index == 0 else ",") + inner
+            yield from _json_pieces(item, level + 1)
+        yield outer + "]"
+    else:
+        yield json.dumps(value)
+
+
+def _matrix_pieces(matrix: np.ndarray, outer: str):
+    matrix = _square(matrix)
+    dim = matrix.shape[0]
+    if dim == 0:
+        yield "[]"
+        return
+    row_indent = outer + "  "
+    cell_indent = row_indent + "  "
+    field_indent = cell_indent + "  "
+    cell = "{" + field_indent + '"re": %r,' + field_indent + '"im": %r' + cell_indent + "}"
+    row_text = "[" + cell_indent + ("," + cell_indent).join([cell] * dim) + row_indent + "]"
+    values = [0.0] * (2 * dim)
+    for index, row in enumerate(matrix):
+        values[0::2] = row.real.tolist()
+        values[1::2] = row.imag.tolist()
+        if np.isfinite(row).all():
+            text = row_text % tuple(values)
+        else:
+            # json.dumps spells out NaN, Infinity and -Infinity, which repr
+            # writes as nan and inf; finite floats it renders by repr too.
+            text = row_text.replace("%r", "%s") % tuple(map(json.dumps, values))
+        yield ("[" if index == 0 else ",") + row_indent + text
+    yield outer + "]"
+
+
 def dumps(payload: dict) -> str:
-    """Canonical JSON text: two-space indent, insertion key order, newline end."""
-    return json.dumps(payload, indent=2) + "\n"
+    """Canonical JSON text: two-space indent, insertion key order, newline end.
+
+    Equal to json.dumps(payload, indent=2) + "\n" where each square ndarray in
+    the payload is replaced by its matrix_to_json "entries" list.
+    """
+    return "".join(_json_chunks(payload))
+
+
+def write_json(target, payload: dict) -> None:
+    """Write dumps(payload) to `target`, a path or a text stream, piece by piece.
+
+    The bytes equal dumps's, but neither the whole text nor a dict per
+    matrix entry is ever built: memory is bounded by one matrix row.
+    """
+    _write_chunks(target, _json_chunks(payload))
 
 
 def write_pgm(path, intensity: np.ndarray) -> None:
@@ -142,14 +229,21 @@ def format_csv(header: list, rows, metadata: dict | None = None) -> str:
     return "".join(_csv_lines(header, rows, metadata))
 
 
-def write_csv(path, header: list, rows, metadata: dict | None = None) -> None:
-    """Write format_csv(header, rows, metadata) to `path` line by line.
+def write_csv(target, header: list, rows, metadata: dict | None = None) -> None:
+    """Write format_csv(header, rows, metadata) to `target`, a path or a text stream.
 
-    The bytes equal format_csv's, but the whole text is never held in
-    memory, so `rows` can be a generator over a large table.
+    The bytes equal format_csv's, but the text goes out line by line and is
+    never held whole in memory, so `rows` can be a generator over a large table.
     """
-    with open(path, "w", encoding="ascii") as handle:
-        handle.writelines(_csv_lines(header, rows, metadata))
+    _write_chunks(target, _csv_lines(header, rows, metadata))
+
+
+def _write_chunks(target, chunks) -> None:
+    if hasattr(target, "writelines"):
+        target.writelines(chunks)
+    else:
+        with open(target, "w", encoding="ascii") as handle:
+            handle.writelines(chunks)
 
 
 def _render(value) -> str:

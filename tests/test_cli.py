@@ -64,6 +64,7 @@ def test_verify_single_suite(runner, tmp_path):
     assert "[PASS]" in result.output
     assert "[FAIL]" not in result.output
     payload = json.loads(report.read_text())
+    assert report.read_text() == json.dumps(payload, indent=2) + "\n"
     assert payload["suite"] == "algebra"
     assert payload["all_passed"] is True
     assert all(check["passed"] for check in payload["checks"])
@@ -226,19 +227,12 @@ def test_fidelity_usage_errors(runner, args):
 
 def test_fidelity_out_file(runner, tmp_path):
     out = tmp_path / "sweep.csv"
-    result = runner.invoke(
-        main,
-        [
-            "fidelity",
-            "--n-slits", "5",
-            "--m-max", "1",
-            "--n-x", "4096",
-            "--out", str(out),
-        ],
-    )
+    args = ["fidelity", "--n-slits", "5,20", "--m-max", "2", "--n-x", "4096"]
+    result = runner.invoke(main, [*args, "--out", str(out)])
     assert result.exit_code == 0
     assert f"wrote {out}" in result.output
-    assert out.read_text().splitlines()[-1].startswith("5.0,1,")
+    assert out.read_text().splitlines()[-1].startswith("20.0,2,")
+    assert runner.invoke(main, args).stdout_bytes == out.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +301,15 @@ def test_czgate_stdout_payload(runner):
     assert np.abs(matrix_from_json(payload["matrix"]) - op.matrix).max() < 1e-15
 
 
+def _stdout_and_out_bytes(runner, tmp_path, args) -> bytes:
+    path = tmp_path / "out.json"
+    assert runner.invoke(main, [*args, "--out", str(path)]).exit_code == 0
+    to_stdout = runner.invoke(main, args)
+    assert to_stdout.exit_code == 0
+    assert to_stdout.stdout_bytes == path.read_bytes()
+    return path.read_bytes()
+
+
 def test_default_gate_algebra_bytes_match_golden_hashes(runner, tmp_path):
     golden = json.loads(GOLDEN.read_text())["gate_algebra"]
     commands = {
@@ -314,9 +317,24 @@ def test_default_gate_algebra_bytes_match_golden_hashes(runner, tmp_path):
         "golden_cz.json": ["czgate", "-d", "3", "-k", "1"],
     }
     for name, args in commands.items():
-        path = tmp_path / name
-        assert runner.invoke(main, [*args, "--out", str(path)]).exit_code == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[name]
+        data = _stdout_and_out_bytes(runner, tmp_path, args)
+        assert hashlib.sha256(data).hexdigest() == golden[name]
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (["gate", "-d", "256", "-q", "511"],
+         "aafd56d1453ee2f878178156489786637b18c1f2f49f7fcabdba775b9f4d6d55"),
+        (["czgate", "-d", "24", "-k", "5"],
+         "c66268836f49f23addf2b6ddedade7440386455181cc789886b3a9041e118b74"),
+    ],
+    ids=["gate-256-511", "czgate-24-5"],
+)
+def test_benchmark_size_gate_algebra_bytes_are_pinned(runner, tmp_path, args, digest):
+    # the large outputs the JSON writer streams row by row (5.8 MB and 20.6 MB)
+    data = _stdout_and_out_bytes(runner, tmp_path, args)
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

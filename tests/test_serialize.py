@@ -1,9 +1,14 @@
 """Deterministic serialization: JSON, PGM, CSV."""
 
+import io
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from talbotsim import (
     OpticalProgram,
@@ -20,8 +25,10 @@ from talbotsim import (
     program_to_json,
     talbot_unitary,
     write_csv,
+    write_json,
     write_pgm,
 )
+from talbotsim.serialize import _postselected_fields
 
 
 def test_matrix_round_trip_exact():
@@ -103,6 +110,123 @@ def test_dumps_is_stable():
     text = dumps(payload)
     assert text == '{\n  "b": 1,\n  "a": 0.1\n}\n'
     assert dumps(payload) == text
+
+
+# Floats whose text json.dumps and repr could plausibly render apart.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e16,
+               -1e16, 1e-7, 1e-5, 1.0, -3.0, 1e22, 123456789.0, 0.1, 1.7976931348623157e308]
+entry_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def complex_matrices(draw, max_dim=4):
+    dim = draw(st.integers(0, max_dim))
+    parts = draw(st.lists(entry_floats, min_size=2 * dim * dim, max_size=2 * dim * dim))
+    matrix = np.empty((dim, dim), dtype=complex)
+    matrix.real.flat = parts[::2]
+    matrix.imag.flat = parts[1::2]
+    return matrix
+
+
+def _expected_json(payload: dict) -> str:
+    """json.dumps of the payload with each matrix in its matrix_to_json form."""
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return matrix_to_json(value)["entries"]
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value
+
+    return json.dumps(plain(payload), indent=2) + "\n"
+
+
+def _streamed(payload: dict) -> str:
+    stream = io.StringIO()
+    write_json(stream, payload)
+    return stream.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    matrix=complex_matrices(),
+    inner=complex_matrices(max_dim=2),
+    extras=st.lists(entry_floats, max_size=3),
+    flag=st.booleans(),
+)
+@example(np.zeros((0, 0), dtype=complex), np.zeros((1, 1), dtype=complex), [], True)
+@example(np.array([[-0.0 + 5e-324j]]), np.array([[1e16 - 1e-7j]]), [3.0, -0.0], False)
+def test_dumps_and_write_json_equal_json_dumps(matrix, inner, extras, flag):
+    # a matrix at depth 1, as `gate` writes it, and at depth 2, as `czgate` does
+    gate_like = {"kind": "talbot_unitary", "steps": -3, "dim": len(matrix), "entries": matrix}
+    cz_like = {
+        "dim": len(inner) ** 2,
+        "matrix": {"dim": len(inner), "entries": inner},
+        "success_probabilities": extras,
+        "path_swap_applied": flag,
+        "path_swap_levels": [],
+        "local_corrections": {"path_a_phases": extras, "global_phase": 0.5},
+        "modulus_range": [1, 2.0],
+        "note": "\u00e9\n\"",
+        "nothing": None,
+        "empty": {},
+    }
+    for payload in (gate_like, cz_like):
+        expected = _expected_json(payload)
+        assert dumps(payload) == expected
+        assert _streamed(payload) == expected
+
+
+def test_write_json_to_path_equals_dumps(tmp_path):
+    payload = {"steps": 2, "dim": 3, "entries": talbot_unitary(3, 2)}
+    path = tmp_path / "gate.json"
+    write_json(path, payload)
+    assert path.read_bytes() == dumps(payload).encode("ascii")
+    write_json(str(path), {"a": [1.5]})
+    assert path.read_text() == '{\n  "a": [\n    1.5\n  ]\n}\n'
+
+
+@pytest.mark.parametrize("dim,control", [(2, 1), (3, 0), (4, 3)])
+def test_postselected_stream_form_equals_json_dumps(dim, control):
+    op = build_cz(dim, control)
+    expected = json.dumps(postselected_to_json(op), indent=2) + "\n"
+    assert dumps(_postselected_fields(op)) == expected
+    assert _streamed(_postselected_fields(op)) == expected
+
+
+def test_non_finite_entries_render_as_json_dumps_does():
+    nan, inf = float("nan"), float("inf")
+    matrix = np.array([[nan + 1j, 0.5 + inf * 1j], [complex(-inf, -0.0), 2.0]])
+    payload = {"dim": 2, "entries": matrix, "scalars": [nan, inf, -inf]}
+    text = dumps(payload)
+    assert text == _expected_json(payload)
+    assert _streamed(payload) == text
+    assert "NaN" in text and "-Infinity" in text and "nan" not in text
+    back = matrix_from_json(json.loads(text))
+    assert np.array_equal(back, matrix, equal_nan=True)
+
+
+def test_json_payload_validation():
+    with pytest.raises(ValueError, match="square"):
+        dumps({"entries": np.ones((2, 3))})
+    with pytest.raises(TypeError, match="keys must be str"):
+        dumps({1: 2})
+
+
+def test_write_json_memory_is_one_row(tmp_path):
+    # czgate -d 24 writes 20.6 MB; the entries as dicts, or the text as one
+    # string, would each take tens of MB
+    payload = _postselected_fields(build_cz(24, 5))
+    path = tmp_path / "cz.json"
+    tracemalloc.start()
+    try:
+        write_json(path, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 20_000_000
+    assert peak < 2_000_000
 
 
 def test_postselected_payload_schema():
