@@ -1,11 +1,14 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
-2 for usage errors, invalid configuration, or I/O problems.  All outputs
-are byte-deterministic for a fixed command line and a fixed BLAS thread
-count.  The `fidelity` CSV can differ in its last digit between OpenBLAS
-thread counts; pin them with OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before
-launch, since the backend reads them only when numpy is first imported.
+2 for usage errors, invalid configuration, or a file that cannot be read
+or written.  A stdout pipe closed by its reader (`gate -d 128 | head -c
+20`) ends the run with exit 1 and no message, by click's broken-pipe rule;
+the reader keeps what it read.  All outputs are byte-deterministic for a
+fixed command line and a fixed BLAS thread count.  The `fidelity` CSV can
+differ in its last digit between OpenBLAS thread counts; pin them with
+OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before launch, since the backend
+reads them only when numpy is first imported.
 """
 
 import json
@@ -13,6 +16,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .carpet import detect_revivals, render_carpet, render_program_carpet
 from .fidelity import (
@@ -106,8 +110,10 @@ def _load_program(path: str):
 @click.option("--slit-ratio", type=float, default=0.5, show_default=True)
 @click.option("--wavelength", type=float, default=0.01, show_default=True)
 @click.option("--truncation", type=int, default=64, show_default=True)
-@click.option("--zeta-min", type=float, default=0.0, show_default=True)
-@click.option("--zeta-max", type=float, default=1.0, show_default=True)
+@click.option("--zeta-min", type=float, default=0.0, show_default=True,
+              help="First row of a free carpet.")
+@click.option("--zeta-max", type=float, default=1.0, show_default=True,
+              help="Last row of a free carpet.")
 @click.option("--z-steps", type=int, default=257, show_default=True)
 @click.option("--x-steps", type=int, default=256, show_default=True)
 @click.option("--program", "program_path", type=click.Path(exists=True, dir_okay=False),
@@ -119,6 +125,13 @@ def _load_program(path: str):
 def carpet(slit_ratio, wavelength, truncation, zeta_min, zeta_max, z_steps, x_steps,
            program_path, initial_level, out, csv_path) -> None:
     """Render an intensity carpet and report revival rows."""
+    ctx = click.get_current_context()
+    given = {name for name in ctx.params
+             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
+    if program_path is None and "initial_level" in given:
+        raise click.UsageError("--initial-level applies only to --program carpets")
+    if program_path is not None and given & {"zeta_min", "zeta_max"}:
+        raise click.UsageError("--zeta-min/--zeta-max apply only to free carpets")
     spec = GratingSpec(slit_width=slit_ratio, wavelength=wavelength, mode_truncation=truncation)
     if program_path is None:
         image = render_carpet(spec, (zeta_min, zeta_max), z_steps, x_steps)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import gauss_coefficients, jacobi_symbol
+from .gauss import gauss_coefficients
 
 __all__ = [
     "pauli_shift",
@@ -27,8 +27,6 @@ __all__ = [
     "qft_decomposition_even",
     "qft_decomposition_odd",
     "DecompositionReport",
-    "align_phase",
-    "phase_aligned_distance",
 ]
 
 
@@ -112,9 +110,6 @@ class DecompositionReport:
     dim: int
     step_power: int
     residual: float
-    global_phase: complex
-    jacobi: int | None = None
-    branch: int | None = None
 
 
 def qft_decomposition_even(D: int) -> tuple[np.ndarray, np.ndarray, DecompositionReport]:
@@ -129,12 +124,8 @@ def qft_decomposition_even(D: int) -> tuple[np.ndarray, np.ndarray, Decompositio
     d = np.arange(D)
     xi = np.pi / 8 - np.pi * d**2 / D
     sandwich = diagonal_gate(xi) @ talbot_unitary(D, 1) @ diagonal_gate(xi)
-    target = qft_matrix(D)
-    residual = float(np.abs(sandwich - target).max())
-    report = DecompositionReport(
-        dim=D, step_power=1, residual=residual, global_phase=1.0 + 0j
-    )
-    return xi, xi, report
+    residual = float(np.abs(sandwich - qft_matrix(D)).max())
+    return xi, xi, DecompositionReport(dim=D, step_power=1, residual=residual)
 
 
 def qft_decomposition_odd(D: int) -> tuple[np.ndarray, np.ndarray, DecompositionReport]:
@@ -147,61 +138,21 @@ def qft_decomposition_odd(D: int) -> tuple[np.ndarray, np.ndarray, Decomposition
     the cross term to the Fourier kernel, and the masks
 
         pre_d  = -pi (d^2 + D d) / D
-        post_d = -pi (d^2 - D d) / D
+        post_d = -pi (d^2 - D d) / D - arg b_0
 
-    (equal mod 2 pi; the +-D d split keeps each entry in a symmetric range)
-    cancel the remaining index-squared phases.  The sandwich equals F up to
-    a constant from the quadratic Gauss sum of the powered step; the sign
-    branch of the sqrt(Jacobi) prefactor is resolved numerically, folded
-    into `post`, and reported, and the leftover global phase is reported.
+    (equal mod 2 pi but for the constant; the +-D d split keeps each entry
+    in a symmetric range) cancel the remaining index-squared phases.  The
+    one constant left is the phase of the powered step's Gauss weight
+    b_0 = (2|D) conj(eps_D) / sqrt(D), eps_D = 1 for D = 1 mod 4 and i for
+    D = 3 mod 4; folding it into `post` makes the sandwich equal F exactly,
+    like the even case, and the residual is taken with no phase fitted.
     """
     if D < 1 or D % 2 == 0:
         raise ValueError(f"D must be odd and >= 1, got {D}")
     h = (D + 1) // 2
     d = np.arange(D)
     pre = -np.pi * (d**2 + D * d) / D
-    post = -np.pi * (d**2 - D * d) / D
-    powered = talbot_unitary(D, h)
-    target = qft_matrix(D)
-
-    jac = jacobi_symbol(2, D)
-    candidates = (0.0, np.pi) if jac == 1 else (np.pi / 2, -np.pi / 2)
-    best = None
-    for branch_index, angle in enumerate(candidates):
-        sandwich = diagonal_gate(post + angle) @ powered @ diagonal_gate(pre)
-        raw = float(np.abs(sandwich - target).max())
-        if best is None or raw < best[0]:
-            best = (raw, branch_index, angle, sandwich)
-    _, branch_index, angle, sandwich = best
-
-    phase, residual = phase_aligned_distance(target, sandwich)
-    report = DecompositionReport(
-        dim=D,
-        step_power=h,
-        residual=residual,
-        global_phase=phase,
-        jacobi=jac,
-        branch=1 - 2 * branch_index,
-    )
-    return pre, post + angle, report
-
-
-def align_phase(reference: np.ndarray, candidate: np.ndarray) -> tuple[complex, np.ndarray]:
-    """Rotate `candidate` by the global phase that best matches `reference`.
-
-    The phase is that of the overlap <reference, candidate>; returns
-    (applied phase, rotated candidate).  Raises if the overlap vanishes,
-    since then no global phase can relate the two.
-    """
-    overlap = np.vdot(reference, candidate)
-    magnitude = abs(overlap)
-    if magnitude < 1e-12 * np.linalg.norm(reference) * np.linalg.norm(candidate):
-        raise ValueError("arrays are orthogonal; no global phase relates them")
-    phase = overlap / magnitude
-    return phase, candidate / phase
-
-
-def phase_aligned_distance(reference: np.ndarray, candidate: np.ndarray) -> tuple[complex, float]:
-    """Max elementwise deviation after global-phase alignment, with the phase."""
-    phase, rotated = align_phase(reference, candidate)
-    return phase, float(np.abs(rotated - reference).max())
+    post = -np.pi * (d**2 - D * d) / D - np.angle(gauss_coefficients(h, D)[0])
+    sandwich = diagonal_gate(post) @ talbot_unitary(D, h) @ diagonal_gate(pre)
+    residual = float(np.abs(sandwich - qft_matrix(D)).max())
+    return pre, post, DecompositionReport(dim=D, step_power=h, residual=residual)

@@ -360,6 +360,11 @@ BAD_INPUT = {
     "fidelity-n-slits-inf": ["fidelity", "--n-slits", "inf"],
     "fidelity-wavelength-inf": ["fidelity", "--wavelength", "inf"],
     "carpet-zeta-max-inf": ["carpet", "--zeta-max", "inf", "--out", "out.pgm"],
+    "carpet-program-zeta-range": ["carpet", "--program", "hadamard.json", "--zeta-min", "5",
+                                  "--zeta-max", "inf", "--out", "out.pgm"],
+    "carpet-program-zeta-min": ["carpet", "--program", "hadamard.json", "--zeta-min", "0",
+                                "--out", "out.pgm"],
+    "carpet-free-initial-level": ["carpet", "--initial-level", "7", "--out", "out.pgm"],
     "prepare-theta-inf": ["prepare", "--theta", "inf", "--phi", "0", "--out-prefix", "out"],
     **{
         f"program-{name}": ["carpet", "--program", name, "--out", "out.pgm"]
@@ -373,6 +378,7 @@ def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
     for name, text in MALFORMED_PROGRAMS.items():
         (tmp_path / name).write_text(text)
+    (tmp_path / "hadamard.json").write_text(json.dumps(program_to_json(hadamard_program())))
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
@@ -396,6 +402,21 @@ def test_module_entry_help():
     result = run_module(["--help"])
     assert result.returncode == 0
     assert b"Talbot carpets" in result.stdout
+
+
+def test_stdout_closed_by_the_reader_exits_1_without_a_message():
+    process = subprocess.Popen(
+        [sys.executable, "-m", "talbotsim", "gate", "-d", "128", "-q", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = process.stdout.read(20)
+    process.stdout.close()
+    stderr = process.stderr.read()
+    process.stderr.close()
+    assert process.wait() == 1
+    assert stderr == b""
+    assert head == b'{\n  "kind": "talbot_'
 
 
 def test_gate_output_is_byte_deterministic():

@@ -202,19 +202,16 @@ def test_even_decomposition_reconstructs_fourier(D):
     assert np.abs(pre - (np.pi / 8 - np.pi * d**2 / D)).max() == 0.0
 
 
-@pytest.mark.parametrize("D", [3, 5, 7, 9, 11, 13])
+@pytest.mark.parametrize("D", range(1, 200, 2))
 def test_odd_decomposition_reconstructs_fourier(D):
+    """Every odd D < 200, so all four residues mod 8 appear; no phase is
+    fitted, so the sandwich is F itself, global phase included."""
     pre, post, report = qft_decomposition_odd(D)
     assert report.step_power == (D + 1) // 2
     sandwich = diagonal_gate(post) @ talbot_unitary(D, report.step_power) @ diagonal_gate(pre)
-    # test-local alignment: divide by the overlap phase
-    target = qft_matrix(D)
-    overlap = np.vdot(target, sandwich)
-    aligned = sandwich * abs(overlap) / overlap
-    assert np.abs(aligned - target).max() < 1e-10
-    assert report.residual < 1e-10
-    assert abs(abs(report.global_phase) - 1.0) < 1e-12
-    assert report.branch in (-1, 1)
+    residual = np.abs(sandwich - qft_matrix(D)).max()
+    assert residual < 1e-12
+    assert report.residual == residual
 
 
 def test_odd_decomposition_single_step_cannot_work():

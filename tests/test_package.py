@@ -1,4 +1,4 @@
-"""Package boundary: the public names, and no unused imports in the modules."""
+"""Package boundary: the public names, no unused imports, no dead private helpers."""
 
 import ast
 import importlib
@@ -52,3 +52,44 @@ def test_module_uses_every_name_it_imports(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _defined_private_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _referenced_names(node: ast.stmt) -> set[str]:
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+    return names
+
+
+def test_every_private_module_name_is_used_elsewhere():
+    """A module-level `def _x` or `_X = ...` must be referenced by another
+    top-level statement somewhere in the package; its own body (recursion,
+    its own value) does not count."""
+    statements = [
+        (path.name, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    references = [_referenced_names(node) for _, node in statements]
+    dead = [
+        f"{module}:{node.lineno} {name}"
+        for index, (module, node) in enumerate(statements)
+        for name in _defined_private_names(node)
+        if not any(name in names for other, names in enumerate(references) if other != index)
+    ]
+    assert not dead, f"private names nothing else uses: {dead}"

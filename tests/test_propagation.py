@@ -147,6 +147,26 @@ def test_gate_crosscheck_default(D):
     assert result.max_projection_residual < 1e-6
 
 
+@pytest.mark.parametrize("width", [0.3, 0.45, 1.0 / 6.0, 0.9])
+def test_gate_crosscheck_slit_widths(width):
+    """Narrow, wide and overlapping slits: no phase is fitted, yet each
+    reconstruction matches the gate entry by entry to round-off."""
+    result = gate_crosscheck(3, spec=GratingSpec(slit_width=width, mode_truncation=256))
+    assert result.certified
+    assert result.max_deviation < 1e-12
+
+
+def test_gate_crosscheck_sees_a_global_phase(monkeypatch):
+    """A gate off by the constant i must fail: the check fits no phase."""
+    def rotated(D, q=1):
+        return 1j * talbot_unitary(D, q)
+
+    monkeypatch.setattr("talbotsim.propagation.talbot_unitary", rotated)
+    result = gate_crosscheck(3)
+    assert result.certified is False
+    assert result.max_deviation > 0.5
+
+
 def test_gate_crosscheck_multiple_steps():
     for D, q in [(2, 3), (3, 2), (4, 5)]:
         result = gate_crosscheck(D, q=q)
