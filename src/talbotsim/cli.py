@@ -1,7 +1,13 @@
 """Command line interface.
 
+Carpets and gates are in reduced units: propagation is measured in carpet
+periods and positions in grating periods, so `carpet` and `prepare` take
+no wavelength.  Only `fidelity` does, since the wavelength sets the
+non-paraxial walk-off of a finite grating.
+
 Exit codes: 0 on success, 1 when a verification suite reports failures,
-2 for usage errors, invalid configuration, or a file that cannot be read
+2 for usage errors, invalid configuration (slit states that are linearly
+dependent on the chosen modes included), or a file that cannot be read
 or written.  A stdout pipe closed by its reader (`gate -d 128 | head -c
 20`) ends the run with exit 1 and no message, by click's broken-pipe rule;
 the reader keeps what it read.  All outputs are byte-deterministic for a
@@ -108,7 +114,6 @@ def _load_program(path: str):
 
 @main.command()
 @click.option("--slit-ratio", type=float, default=0.5, show_default=True)
-@click.option("--wavelength", type=float, default=0.01, show_default=True)
 @click.option("--truncation", type=int, default=64, show_default=True)
 @click.option("--zeta-min", type=float, default=0.0, show_default=True,
               help="First row of a free carpet.")
@@ -122,7 +127,7 @@ def _load_program(path: str):
               help="Input slit for program carpets.")
 @click.option("--out", required=True, help="Output PGM path.")
 @click.option("--csv", "csv_path", default=None, help="Also write rows as CSV here.")
-def carpet(slit_ratio, wavelength, truncation, zeta_min, zeta_max, z_steps, x_steps,
+def carpet(slit_ratio, truncation, zeta_min, zeta_max, z_steps, x_steps,
            program_path, initial_level, out, csv_path) -> None:
     """Render an intensity carpet and report revival rows."""
     ctx = click.get_current_context()
@@ -132,7 +137,7 @@ def carpet(slit_ratio, wavelength, truncation, zeta_min, zeta_max, z_steps, x_st
         raise click.UsageError("--initial-level applies only to --program carpets")
     if program_path is not None and given & {"zeta_min", "zeta_max"}:
         raise click.UsageError("--zeta-min/--zeta-max apply only to free carpets")
-    spec = GratingSpec(slit_width=slit_ratio, wavelength=wavelength, mode_truncation=truncation)
+    spec = GratingSpec(slit_width=slit_ratio, mode_truncation=truncation)
     if program_path is None:
         image = render_carpet(spec, (zeta_min, zeta_max), z_steps, x_steps)
     else:
@@ -142,7 +147,6 @@ def carpet(slit_ratio, wavelength, truncation, zeta_min, zeta_max, z_steps, x_st
     if csv_path is not None:
         metadata = {
             "slit_ratio": slit_ratio,
-            "wavelength": wavelength,
             "truncation": truncation,
             "mask_positions": ";".join(repr(p) for p in image.mask_positions),
         }
@@ -241,15 +245,13 @@ def fidelity(n_slits, m_max, slit_ratio, wavelength, truncation, n_x, extent_fac
 @click.option("--out-prefix", required=True,
               help="Writes <prefix>_program.json, <prefix>_carpet.pgm, <prefix>_masks.csv.")
 @click.option("--slit-ratio", type=float, default=0.25, show_default=True)
-@click.option("--wavelength", type=float, default=0.01, show_default=True)
 @click.option("--truncation", type=int, default=64, show_default=True)
 @click.option("--z-steps", type=int, default=257, show_default=True)
 @click.option("--x-steps", type=int, default=256, show_default=True)
-def prepare(theta, phi, out_prefix, slit_ratio, wavelength, truncation,
-            z_steps, x_steps) -> None:
+def prepare(theta, phi, out_prefix, slit_ratio, truncation, z_steps, x_steps) -> None:
     """Emit the Bloch-state preparation program, its carpet, and mask table."""
     program, state = prepare_bloch_state(theta, phi)
-    spec = GratingSpec(slit_width=slit_ratio, wavelength=wavelength, mode_truncation=truncation)
+    spec = GratingSpec(slit_width=slit_ratio, mode_truncation=truncation)
     image = render_program_carpet(spec, program, z_steps, x_steps)
     _write(out_prefix + "_program.json", write_json, program_to_json(program))
     _write(out_prefix + "_carpet.pgm", write_pgm, image.intensity)

@@ -15,7 +15,12 @@ from fractions import Fraction
 import numpy as np
 
 from .grating import GratingSpec, grating_coefficients
-from .propagation import SampledField, propagate_angular_spectrum, propagate_paraxial
+from .propagation import (
+    PropagationReport,
+    SampledField,
+    propagate_angular_spectrum,
+    propagate_paraxial,
+)
 
 __all__ = [
     "FidelityRow",
@@ -48,33 +53,36 @@ class FidelityRow:
 
 def synthesize_gaussian_comb(
     spec: GratingSpec,
+    sigma: float,
+    wavelength: float,
     n_x: int = DEFAULT_SAMPLES,
     extent_factor: float = DEFAULT_EXTENT_FACTOR,
 ) -> SampledField:
     """Sample the truncated slit comb times a Gaussian envelope.
 
-    The envelope is exp(-x^2 / (2 sigma^2)) with sigma = spec.envelope_sigma
-    (required here).  The grid spans extent_factor * sigma; factors below
-    8 are refused because the wrapped tails would alias through the
-    periodic FFT boundary.
+    The envelope is exp(-x^2 / (2 sigma^2)); sigma, in periods, also
+    counts the illuminated slits.  The field carries wavelength (the ratio
+    lambda/period) to the angular-spectrum propagator; the comb itself does
+    not depend on it.  The grid spans extent_factor * sigma;
+    factors below 8 are refused because the wrapped tails would alias
+    through the periodic FFT boundary.
     """
-    if spec.envelope_sigma is None:
-        raise ValueError("spec.envelope_sigma is required to synthesize a finite comb")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if not MIN_EXTENT_FACTOR <= extent_factor < math.inf:
         raise ValueError(
             f"extent_factor must be finite and >= {MIN_EXTENT_FACTOR}, got {extent_factor}"
         )
-    sigma = spec.envelope_sigma
     extent = extent_factor * sigma
     n = int(n_x)
     x = (np.arange(n) - n // 2) * (extent / n)
     comb = grating_coefficients(spec).evaluate(x)
     envelope = np.exp(-(x**2) / (2.0 * sigma**2))
-    field = SampledField(comb * envelope, extent, spec.wavelength)
+    field = SampledField(comb * envelope, extent, wavelength)
     return field.normalized()
 
 
-def revival_fidelity(field: SampledField, m: int) -> tuple[float, object]:
+def revival_fidelity(field: SampledField, m: int) -> tuple[float, PropagationReport]:
     """Fidelity after m carpet periods (z = 2 m / wavelength in period units)."""
     z = 2.0 * m / field.wavelength
     propagated, report = propagate_angular_spectrum(field, z)
@@ -107,15 +115,12 @@ def fidelity_sweep(
     sit at fidelity 1 for every m and anchor the envelope as the only
     decay mechanism.
     """
+    spec = GratingSpec(slit_width=slit_width, mode_truncation=mode_truncation)
     rows: list[FidelityRow] = []
     for n in n_slits:
-        spec = GratingSpec(
-            slit_width=slit_width,
-            wavelength=wavelength,
-            mode_truncation=mode_truncation,
-            envelope_sigma=float(n),
+        field = synthesize_gaussian_comb(
+            spec, float(n), wavelength, n_x=n_x, extent_factor=extent_factor
         )
-        field = synthesize_gaussian_comb(spec, n_x=n_x, extent_factor=extent_factor)
         for m in m_list:
             fidelity, report = revival_fidelity(field, int(m))
             rows.append(
@@ -128,17 +133,12 @@ def fidelity_sweep(
                 )
             )
     if include_periodic_control:
-        control_spec = GratingSpec(
-            slit_width=slit_width,
-            wavelength=wavelength,
-            mode_truncation=mode_truncation,
-        )
         for m in m_list:
             rows.append(
                 FidelityRow(
                     n_slits=float("inf"),
                     talbot_periods=int(m),
-                    fidelity=_periodic_control(control_spec, int(m)),
+                    fidelity=_periodic_control(spec, int(m)),
                     dropped_norm_fraction=0.0,
                     aliasing_risk=False,
                     periodic_control=True,

@@ -1,12 +1,11 @@
 """Periodic gratings and their truncated mode expansions.
 
-Lengths are in units of the grating period: x, slit width a, wavelength
-lambda, and envelope sigma are all dimensionless ratios to the period.
+Lengths are in units of the grating period: x and the slit width a are
+dimensionless ratios to the period.
 A field is represented by complex amplitudes on the plane-wave modes
 exp(2i pi m x), m = -M .. M.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,36 +29,19 @@ class GratingSpec:
     """Geometry of a slit grating.
 
     slit_width: open fraction a of each period, 0 < a <= 1.
-    wavelength: ratio lambda/period; sets the Talbot length period^2/lambda.
     mode_truncation: modes -M..M retained in expansions.
-    envelope_sigma: 1/e^2-intensity half-width of the illuminating Gaussian
-        (in periods), or None for uniform illumination.  sigma also counts
-        the illuminated slits: N is about sigma.
     """
 
     slit_width: float = 0.5
-    wavelength: float = 0.01
     mode_truncation: int = 64
-    envelope_sigma: float | None = None
 
     def __post_init__(self):
         if not 0 < self.slit_width <= 1:
             raise ValueError(f"slit_width must be in (0, 1], got {self.slit_width}")
-        if not 0 < self.wavelength < math.inf:
-            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength}")
         if self.mode_truncation < 1:
             raise ValueError(
                 f"mode_truncation must be >= 1, got {self.mode_truncation}"
             )
-        if self.envelope_sigma is not None and not 0 < self.envelope_sigma < math.inf:
-            raise ValueError(
-                f"envelope_sigma must be positive and finite, got {self.envelope_sigma}"
-            )
-
-    @property
-    def talbot_length(self) -> float:
-        """z_T = period^2 / lambda, in units of the period."""
-        return 1.0 / self.wavelength
 
 
 @dataclass(frozen=True)

@@ -315,13 +315,14 @@ def _diagonal_corrections(matrix: np.ndarray, D: int, k: int) -> tuple[np.ndarra
     return _wrap(alpha), _wrap(beta), float(_wrap(gamma))
 
 
-def interaction_phase_signature(matrix: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+def interaction_phase_signature(matrix: np.ndarray) -> np.ndarray:
     """Gauge-invariant two-photon phases chi[d, f] of a diagonal operator.
 
     chi[d, f] = arg g_df - arg g_d0 - arg g_0f + arg g_00, wrapped to
     (-pi, pi], where g is the operator diagonal.  Single-path phase masks
     on either side cancel out of chi, so it isolates the genuine
-    interaction.  Requires an (off-diagonal free, uniform modulus) matrix.
+    interaction.  Requires a diagonal matrix (off-diagonal entries at most
+    1e-10) of uniform nonzero modulus.
     """
     matrix = np.asarray(matrix, dtype=complex)
     n = matrix.shape[0]
@@ -330,10 +331,8 @@ def interaction_phase_signature(matrix: np.ndarray, atol: float = 1e-10) -> np.n
         raise ValueError(f"expected a D^2 x D^2 matrix, got shape {matrix.shape}")
     off = matrix - np.diag(np.diagonal(matrix))
     off_norm = float(np.abs(off).max())
-    if off_norm > atol:
-        raise ValueError(
-            f"matrix is not diagonal: max off-diagonal {off_norm:.3e} > {atol}"
-        )
+    if off_norm > 1e-10:
+        raise ValueError(f"matrix is not diagonal: max off-diagonal {off_norm:.3e} > 1e-10")
     moduli = np.abs(np.diagonal(matrix))
     if moduli.min() <= 0 or (moduli.max() - moduli.min()) / moduli.max() > 1e-8:
         raise ValueError("diagonal moduli must be uniform and nonzero")

@@ -63,10 +63,23 @@ def propagate_paraxial(field: ModeField, zeta) -> ModeField:
 
 
 def _slit_basis(spec: GratingSpec, D: int) -> np.ndarray:
-    """Mode coefficients of the D slit states, one column per level."""
-    return np.column_stack(
+    """Mode coefficients of the D slit states, one column per level.
+
+    Raises ValueError when the states are linearly dependent (fewer modes
+    than levels, or slits that tile the period), since no projection onto
+    them is then unique.  Rank, not the lstsq condition number, decides:
+    a wide matrix reports only as many singular values as it has rows.
+    """
+    basis = np.column_stack(
         [basis_wavefunction(spec, D, d).coefficients for d in range(D)]
     )
+    rank = np.linalg.matrix_rank(basis)
+    if rank < D:
+        raise ValueError(
+            f"the {D} slit states of width {spec.slit_width!r} on "
+            f"{len(basis)} modes are linearly dependent (rank {rank})"
+        )
+    return basis
 
 
 def _project(columns: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -154,7 +167,6 @@ def gate_crosscheck(
     D: int,
     q: int = 1,
     spec: GratingSpec | None = None,
-    tolerance: float = 1e-6,
 ) -> CrosscheckResult:
     """Rebuild the q-step Talbot unitary from brute wave propagation.
 
@@ -163,7 +175,8 @@ def gate_crosscheck(
     to talbot_unitary(D, q) entry by entry, global phase included: no phase
     is fitted, so a wrong constant on either side fails the check.  The two
     routes share no code: one is a Gauss-sum circulant, the other a mode
-    expansion of the physical field.
+    expansion of the physical field.  Certified means every entry agrees
+    within 1e-6 and every projection residual stays within 1e-4.
     """
     if spec is None:
         spec = GratingSpec(slit_width=1.0 / (2 * D), mode_truncation=256)
@@ -182,7 +195,7 @@ def gate_crosscheck(
         steps=q,
         max_deviation=deviation,
         max_projection_residual=max_residual,
-        certified=bool(deviation <= tolerance and max_residual <= 1e-4),
+        certified=bool(deviation <= 1e-6 and max_residual <= 1e-4),
     )
 
 
@@ -205,10 +218,10 @@ class SampledField:
         n = amps.shape[0]
         if n < 2 or n & (n - 1):
             raise ValueError(f"sample count must be a power of two >= 2, got {n}")
-        if self.extent <= 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        if not 0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
+        if not 0 < self.wavelength < math.inf:
+            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -21,10 +21,8 @@ from .gates import (
 from .gauss import gauss_coefficients
 from .photonpair import (
     build_cz,
-    hadamard_input_pair,
     ideal_cz_matrix,
     interaction_phase_signature,
-    post_select_coincidence,
     schmidt_coefficients,
 )
 from .programs import compile_program, hadamard_program
@@ -168,10 +166,8 @@ def _run_czgate(dims=(2, 3, 4)) -> list[Check]:
                 "czgate", f"corrected matrix D={D} k={k}", corrected_residual, 1e-10,
             ))
     # entangling power on a qubit pair of uniform superpositions
-    op = build_cz(2, 1)
-    pair = hadamard_input_pair(2)
-    C, _ = post_select_coincidence(pair)
-    out = (op.matrix @ C.reshape(-1)).reshape(2, 2)
+    plus = np.full(2, 1.0 / np.sqrt(2.0))
+    out, _ = build_cz(2, 1).apply(plus, plus)
     schmidt = schmidt_coefficients(out)
     checks.append(_check(
         "czgate", "schmidt spectrum D=2",

@@ -351,6 +351,10 @@ MALFORMED_PROGRAMS = {
     "not-json": "{",
 }
 
+FOUR_LEVEL_PROGRAM = ('{"dim": 4, "steps": [{"propagate": {"num": 1, "den": 8}}, '
+                      '{"phase_mask": [0.1, 0.2, 0.3, 0.4]}, '
+                      '{"propagate": {"num": 1, "den": 8}}]}')
+
 BAD_INPUT = {
     "gate-dim-0": ["gate", "-d", "0"],
     "czgate-dim-1": ["czgate", "-d", "1", "-k", "0"],
@@ -359,6 +363,11 @@ BAD_INPUT = {
     "fidelity-extent-nan": ["fidelity", "--extent-factor", "nan"],
     "fidelity-n-slits-inf": ["fidelity", "--n-slits", "inf"],
     "fidelity-wavelength-inf": ["fidelity", "--wavelength", "inf"],
+    "carpet-wavelength": ["carpet", "--wavelength", "0.37", "--out", "out.pgm"],
+    "prepare-wavelength": ["prepare", "--theta", "0.8", "--phi", "1.1", "--wavelength", "0.37",
+                           "--out-prefix", "out"],
+    "carpet-program-rank-deficient": ["carpet", "--program", "four-level.json", "--out",
+                                      "out.pgm"],
     "carpet-zeta-max-inf": ["carpet", "--zeta-max", "inf", "--out", "out.pgm"],
     "carpet-program-zeta-range": ["carpet", "--program", "hadamard.json", "--zeta-min", "5",
                                   "--zeta-max", "inf", "--out", "out.pgm"],
@@ -379,12 +388,101 @@ def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args):
     for name, text in MALFORMED_PROGRAMS.items():
         (tmp_path / name).write_text(text)
     (tmp_path / "hadamard.json").write_text(json.dumps(program_to_json(hadamard_program())))
+    # slits of ratio 1/2 (the default) at four sites tile the period: rank 3
+    (tmp_path / "four-level.json").write_text(FOUR_LEVEL_PROGRAM)
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "Error:" in result.output
     assert "Traceback" not in result.output
     assert not any(tmp_path.glob("out*"))
+
+
+# ---------------------------------------------------------------------------
+# every option changes an output
+# ---------------------------------------------------------------------------
+
+# Options that name a file to read or write.
+PATH_OPTIONS = {"out", "csv_path", "program_path", "out_prefix", "json_out"}
+
+CARPET = ["carpet", "--z-steps", "9", "--x-steps", "16", "--truncation", "8",
+          "--out", "c.pgm", "--csv", "c.csv"]
+PREPARE = ["prepare", "--theta", "0.8", "--phi", "1.1", "--z-steps", "9", "--x-steps", "16",
+           "--truncation", "8", "--out-prefix", "p"]
+FIDELITY = ["fidelity", "--n-slits", "5", "--n-x", "1024", "--m-max", "2"]
+
+# For every non-path option of every command: (base arguments, arguments
+# appended to move that option; click keeps the last value of an option).
+OPTION_CASES = {
+    "carpet": {
+        "slit_ratio": (CARPET, ["--slit-ratio", "0.3"]),
+        "truncation": (CARPET, ["--truncation", "9"]),
+        "zeta_min": (CARPET, ["--zeta-min", "0.1"]),
+        "zeta_max": (CARPET, ["--zeta-max", "0.7"]),
+        "z_steps": (CARPET, ["--z-steps", "8"]),
+        "x_steps": (CARPET, ["--x-steps", "12"]),
+        "initial_level": ([*CARPET, "--program", "hadamard.json"], ["--initial-level", "1"]),
+    },
+    "prepare": {
+        "theta": (PREPARE, ["--theta", "0.5"]),
+        "phi": (PREPARE, ["--phi", "0.5"]),
+        "slit_ratio": (PREPARE, ["--slit-ratio", "0.3"]),
+        "truncation": (PREPARE, ["--truncation", "9"]),
+        "z_steps": (PREPARE, ["--z-steps", "8"]),
+        "x_steps": (PREPARE, ["--x-steps", "12"]),
+    },
+    "fidelity": {
+        "n_slits": (FIDELITY, ["--n-slits", "6"]),
+        "m_max": (FIDELITY, ["--m-max", "3"]),
+        "slit_ratio": (FIDELITY, ["--slit-ratio", "0.3"]),
+        "wavelength": (FIDELITY, ["--wavelength", "0.02"]),
+        "truncation": (FIDELITY, ["--truncation", "5"]),
+        "n_x": (FIDELITY, ["--n-x", "2048"]),
+        "extent_factor": (FIDELITY, ["--extent-factor", "9"]),
+        "periodic_control": (FIDELITY, ["--periodic-control"]),
+    },
+    "gate": {
+        "dim": (["gate", "-d", "3"], ["-d", "4"]),
+        "steps": (["gate", "-d", "3"], ["-q", "2"]),
+    },
+    "czgate": {
+        "dim": (["czgate", "-d", "2", "-k", "0"], ["-d", "3"]),
+        "control": (["czgate", "-d", "2", "-k", "0"], ["-k", "1"]),
+    },
+    "verify": {
+        "suite": (["verify", "--suite", "qft"], ["--suite", "algebra"]),
+    },
+}
+
+
+def _outputs(runner, workdir: pathlib.Path, args) -> list:
+    """stdout, then each written file, without `wrote` lines and CSV `#` lines."""
+    workdir.mkdir()
+    (workdir / "hadamard.json").write_text(json.dumps(program_to_json(hadamard_program())))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(workdir)
+        result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    outputs = [[line for line in result.stdout_bytes.splitlines()
+                if not line.startswith((b"wrote ", b"#"))]]
+    for path in sorted(workdir.iterdir()):
+        lines = path.read_bytes().splitlines()
+        if path.suffix == ".csv":
+            lines = [line for line in lines if not line.startswith(b"#")]
+        outputs.append((path.name, lines))
+    return outputs
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_CASES))
+def test_every_option_changes_an_output(runner, tmp_path, command):
+    """A knob that changes no output byte does nothing and has no place."""
+    assert set(OPTION_CASES) == set(main.commands)
+    options = {param.name for param in main.commands[command].params} - PATH_OPTIONS
+    assert set(OPTION_CASES[command]) == options
+    for name, (base, change) in OPTION_CASES[command].items():
+        before = _outputs(runner, tmp_path / f"{name}-base", base)
+        after = _outputs(runner, tmp_path / f"{name}-moved", [*base, *change])
+        assert before != after, f"{command} --{name} changed no output"
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,11 @@ def test_row_ordering(default_rows):
     )
 
 
+SPEC = GratingSpec(slit_width=0.5, mode_truncation=4)
+
+
 def test_synthesize_gaussian_comb_properties():
-    spec = GratingSpec(slit_width=0.5, mode_truncation=4, envelope_sigma=5.0)
-    field = synthesize_gaussian_comb(spec, n_x=2**12)
+    field = synthesize_gaussian_comb(SPEC, 5.0, 0.01, n_x=2**12)
     assert abs(field.norm() - 1.0) < 1e-12
     assert field.extent == 16.0 * 5.0
     # envelope center dominates edges
@@ -132,22 +134,20 @@ def test_synthesize_gaussian_comb_properties():
     assert center > 1e3 * edge
 
 
-def test_synthesize_requires_envelope():
-    spec = GratingSpec(slit_width=0.5, mode_truncation=4)
-    with pytest.raises(ValueError, match="envelope_sigma"):
-        synthesize_gaussian_comb(spec)
+def test_synthesize_refuses_bad_sigma():
+    for bad in (0.0, -5.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            synthesize_gaussian_comb(SPEC, bad, 0.01)
 
 
 def test_synthesize_refuses_tight_extent():
-    spec = GratingSpec(slit_width=0.5, mode_truncation=4, envelope_sigma=5.0)
     for bad in (4.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="extent_factor"):
-            synthesize_gaussian_comb(spec, extent_factor=bad)
+            synthesize_gaussian_comb(SPEC, 5.0, 0.01, extent_factor=bad)
 
 
 def test_revival_fidelity_drops_with_distance():
-    spec = GratingSpec(slit_width=0.5, mode_truncation=4, envelope_sigma=5.0)
-    field = synthesize_gaussian_comb(spec, n_x=2**13)
+    field = synthesize_gaussian_comb(SPEC, 5.0, 0.01, n_x=2**13)
     f1, report = revival_fidelity(field, 1)
     f4, _ = revival_fidelity(field, 4)
     assert 0.0 < f4 < f1 < 1.0

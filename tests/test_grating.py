@@ -146,17 +146,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GratingSpec(slit_width=1.2)
     with pytest.raises(ValueError):
-        GratingSpec(wavelength=-1.0)
-    with pytest.raises(ValueError):
         GratingSpec(mode_truncation=0)
-    with pytest.raises(ValueError):
-        GratingSpec(envelope_sigma=0.0)
-    for bad in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="finite"):
-            GratingSpec(wavelength=bad)
-        with pytest.raises(ValueError, match="finite"):
-            GratingSpec(envelope_sigma=bad)
-    assert GratingSpec(wavelength=0.01).talbot_length == 100.0
 
 
 @pytest.mark.parametrize("D", [2, 3, 4, 5])

@@ -167,6 +167,24 @@ def test_gate_crosscheck_sees_a_global_phase(monkeypatch):
     assert result.max_deviation > 0.5
 
 
+@pytest.mark.parametrize(
+    "D,spec,rank",
+    [
+        (8, GratingSpec(slit_width=1.0 / 16.0, mode_truncation=3), 7),
+        (4, GratingSpec(slit_width=0.5, mode_truncation=64), 3),
+        (6, GratingSpec(slit_width=0.5, mode_truncation=64), 4),
+    ],
+    ids=["7-modes-8-levels", "tiling-D4", "tiling-D6"],
+)
+def test_gate_crosscheck_refuses_a_rank_deficient_slit_basis(D, spec, rank):
+    """Fewer modes than levels, or slits of ratio 1/2 that tile the period
+    at even D, leave the slit states linearly dependent; the projection
+    would fit to round-off and certify nothing."""
+    with pytest.raises(ValueError, match=f"the {D} slit states .* linearly dependent "
+                                         f"\\(rank {rank}\\)"):
+        gate_crosscheck(D, 1, spec)
+
+
 def test_gate_crosscheck_multiple_steps():
     for D, q in [(2, 3), (3, 2), (4, 5)]:
         result = gate_crosscheck(D, q=q)
@@ -177,10 +195,12 @@ def test_gate_crosscheck_multiple_steps():
 def test_sampled_field_validation():
     with pytest.raises(ValueError, match="power of two"):
         SampledField(np.ones(100), extent=1.0, wavelength=0.01)
-    with pytest.raises(ValueError):
-        SampledField(np.ones(64), extent=-1.0, wavelength=0.01)
-    with pytest.raises(ValueError):
-        SampledField(np.ones(64), extent=1.0, wavelength=0.0)
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="extent must be positive and finite"):
+            SampledField(np.ones(64), extent=bad, wavelength=0.01)
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+            SampledField(np.ones(64), extent=1.0, wavelength=bad)
     field = SampledField(np.ones(64), extent=32.0, wavelength=0.01)
     assert field.dx == 0.5
     assert field.x[32] == 0.0
@@ -254,13 +274,12 @@ def test_angular_spectrum_converges_to_paraxial_mode_phases():
     n = 2**13
     extent = 32.0
     truncation = 2
-    spec_kwargs = dict(slit_width=0.5, mode_truncation=truncation)
+    comb = grating_coefficients(GratingSpec(slit_width=0.5, mode_truncation=truncation))
+    x = (np.arange(n) - n // 2) * (extent / n)
+    samples = comb.evaluate(x)
     z = 40.0
     deviations = []
     for lam in (0.02, 0.01, 0.005):
-        comb = grating_coefficients(GratingSpec(wavelength=lam, **spec_kwargs))
-        x = (np.arange(n) - n // 2) * (extent / n)
-        samples = comb.evaluate(x)
         field = SampledField(samples, extent=extent, wavelength=lam)
         out, _ = propagate_angular_spectrum(field, z)
         paraxial = propagate_paraxial(comb, z * lam / 2.0)
