@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grating import GratingSpec, grating_coefficients
+from .grating import GratingSpec, ModeField, grating_coefficients
 from .propagation import (
     PropagationReport,
     SampledField,
-    propagate_angular_spectrum,
+    _angular_spectrum,
     propagate_paraxial,
 )
 
@@ -82,17 +82,32 @@ def synthesize_gaussian_comb(
     return field.normalized()
 
 
+def _revival_fidelities(field: SampledField, m_list):
+    """Yield (m, fidelity, report) for each m, from one spectrum of field.
+
+    Fidelity after m carpet periods (z = 2 m / wavelength in period
+    units).  Each propagated field is dropped before its row is yielded,
+    so one lives at a time.
+    """
+    propagate = _angular_spectrum(field)
+    for m in m_list:
+        propagated, report = propagate(2.0 * m / field.wavelength)
+        overlap = np.vdot(field.amplitudes, propagated.amplitudes) * field.dx
+        del propagated
+        yield m, float(abs(overlap) ** 2), report
+
+
 def revival_fidelity(field: SampledField, m: int) -> tuple[float, PropagationReport]:
     """Fidelity after m carpet periods (z = 2 m / wavelength in period units)."""
-    z = 2.0 * m / field.wavelength
-    propagated, report = propagate_angular_spectrum(field, z)
-    overlap = np.vdot(field.amplitudes, propagated.amplitudes) * field.dx
-    return float(abs(overlap) ** 2), report
+    [(_, fidelity, report)] = _revival_fidelities(field, (m,))
+    return fidelity, report
 
 
-def _periodic_control(spec: GratingSpec, m: int) -> float:
-    """Ideal infinite-comb fidelity at integer periods, exact in mode space."""
-    comb = grating_coefficients(spec).normalized()
+def _periodic_control(comb: ModeField, m: int) -> float:
+    """Ideal infinite-comb fidelity at integer periods, exact in mode space.
+
+    comb is the normalized grating comb.
+    """
     revived = propagate_paraxial(comb, Fraction(m))
     return float(abs(comb.inner(revived)) ** 2)
 
@@ -113,32 +128,40 @@ def fidelity_sweep(
     Rows are ordered by n_slits then by m.  With include_periodic_control,
     control rows (n_slits = inf, exact mode arithmetic) are appended; they
     sit at fidelity 1 for every m and anchor the envelope as the only
-    decay mechanism.
+    decay mechanism.  n_slits and m_list may be any iterables; each is
+    read once.
     """
+    n_slits = tuple(float(n) for n in n_slits)
+    m_list = tuple(int(m) for m in m_list)
     spec = GratingSpec(slit_width=slit_width, mode_truncation=mode_truncation)
     rows: list[FidelityRow] = []
     for n in n_slits:
-        field = synthesize_gaussian_comb(
-            spec, float(n), wavelength, n_x=n_x, extent_factor=extent_factor
+        # the generator holds the only reference to this width's field, so
+        # the field is freed with it, before the next width is synthesized
+        revivals = _revival_fidelities(
+            synthesize_gaussian_comb(
+                spec, n, wavelength, n_x=n_x, extent_factor=extent_factor
+            ),
+            m_list,
         )
-        for m in m_list:
-            fidelity, report = revival_fidelity(field, int(m))
+        for m, fidelity, report in revivals:
             rows.append(
                 FidelityRow(
-                    n_slits=float(n),
-                    talbot_periods=int(m),
+                    n_slits=n,
+                    talbot_periods=m,
                     fidelity=fidelity,
                     dropped_norm_fraction=report.dropped_norm_fraction,
                     aliasing_risk=report.aliasing_risk,
                 )
             )
     if include_periodic_control:
+        comb = grating_coefficients(spec).normalized()
         for m in m_list:
             rows.append(
                 FidelityRow(
                     n_slits=float("inf"),
-                    talbot_periods=int(m),
-                    fidelity=_periodic_control(spec, int(m)),
+                    talbot_periods=m,
+                    fidelity=_periodic_control(comb, m),
                     dropped_norm_fraction=0.0,
                     aliasing_risk=False,
                     periodic_control=True,

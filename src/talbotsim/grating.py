@@ -24,6 +24,12 @@ __all__ = [
 _BLOCK_ENTRIES = 1 << 18
 
 
+def _require_integer(value, name: str) -> None:
+    """Mode counts index the modes -M..M, so only integers make sense."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GratingSpec:
     """Geometry of a slit grating.
@@ -38,6 +44,7 @@ class GratingSpec:
     def __post_init__(self):
         if not 0 < self.slit_width <= 1:
             raise ValueError(f"slit_width must be in (0, 1], got {self.slit_width}")
+        _require_integer(self.mode_truncation, "mode_truncation")
         if self.mode_truncation < 1:
             raise ValueError(
                 f"mode_truncation must be >= 1, got {self.mode_truncation}"
@@ -52,6 +59,7 @@ class ModeField:
     truncation: int
 
     def __post_init__(self):
+        _require_integer(self.truncation, "truncation")
         coeffs = np.asarray(self.coefficients, dtype=complex)
         if coeffs.shape != (2 * self.truncation + 1,):
             raise ValueError(
@@ -95,11 +103,18 @@ class ModeField:
         entries, so memory is bounded by the output, not by samples x modes.
         """
         x = np.asarray(x, dtype=float).ravel()
-        modes = self.modes
+        M = self.truncation
+        nonnegative = np.arange(M + 1)
         values = np.empty(len(x), dtype=complex)
-        block = max(1, _BLOCK_ENTRIES // len(modes))
+        block = max(1, _BLOCK_ENTRIES // (2 * M + 1))
         for lo in range(0, len(x), block):
-            phases = np.exp(2j * np.pi * np.outer(x[lo:lo + block], modes))
+            chunk = x[lo:lo + block]
+            phases = np.empty((len(chunk), 2 * M + 1), dtype=complex)
+            # exp(2i pi x m) for m >= 0 only: the argument for -m is the
+            # exact negation and cexp is conjugate-symmetric, so mode -m is
+            # the conjugate of mode m bit for bit.
+            np.exp(2j * np.pi * np.outer(chunk, nonnegative), out=phases[:, M:])
+            np.conjugate(phases[:, :M:-1], out=phases[:, :M])
             values[lo:lo + block] = phases @ self.coefficients
         return values
 

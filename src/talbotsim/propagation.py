@@ -255,19 +255,12 @@ class PropagationReport:
     grid_spacing_over_quarter_wavelength: float
 
 
-def propagate_angular_spectrum(
-    field: SampledField, z: float
-) -> tuple[SampledField, PropagationReport]:
-    """Exact scalar propagation by distance z (same length units as extent).
+def _angular_spectrum(field: SampledField):
+    """The z-independent half of propagate_angular_spectrum, done once.
 
-    Each spatial frequency kx advances by exp(i z sqrt(k^2 - kx^2));
-    evanescent components (|kx| > k) are dropped and the lost norm fraction
-    reported.  `aliasing_risk` flags spectral energy within 10% of the
-    Nyquist edge, where the periodic grid no longer represents free space
-    faithfully.  A grid spacing at or below a quarter wavelength resolves
-    every propagating frequency; coarser grids remain exact for fields that
-    are band-limited well inside the Nyquist window, so the spacing ratio
-    is reported rather than enforced.
+    Runs the forward FFT, the power sums, the evanescent and Nyquist masks
+    and k_z, and returns propagate(z) -> (SampledField, PropagationReport),
+    which applies only the z-dependent phase and the inverse FFT.
     """
     n = len(field.amplitudes)
     dx = field.dx
@@ -288,13 +281,36 @@ def propagate_angular_spectrum(
     kz = np.zeros(n)
     keep = ~evanescent
     kz[keep] = np.sqrt(np.maximum(k**2 - kx[keep] ** 2, 0.0))
-    spectrum = np.where(keep, spectrum * np.exp(1j * z * kz), 0.0)
-    out = SampledField(np.fft.ifft(spectrum), field.extent, field.wavelength)
-    report = PropagationReport(
-        distance=float(z),
-        dropped_norm_fraction=dropped_fraction,
-        evanescent_mode_count=int(evanescent.sum()),
-        aliasing_risk=aliasing,
-        grid_spacing_over_quarter_wavelength=float(dx / (field.wavelength / 4.0)),
-    )
-    return out, report
+    evanescent_count = int(evanescent.sum())
+    spacing_ratio = float(dx / (field.wavelength / 4.0))
+
+    def propagate(z: float) -> tuple[SampledField, PropagationReport]:
+        propagated = np.where(keep, spectrum * np.exp(1j * z * kz), 0.0)
+        out = SampledField(np.fft.ifft(propagated), field.extent, field.wavelength)
+        report = PropagationReport(
+            distance=float(z),
+            dropped_norm_fraction=dropped_fraction,
+            evanescent_mode_count=evanescent_count,
+            aliasing_risk=aliasing,
+            grid_spacing_over_quarter_wavelength=spacing_ratio,
+        )
+        return out, report
+
+    return propagate
+
+
+def propagate_angular_spectrum(
+    field: SampledField, z: float
+) -> tuple[SampledField, PropagationReport]:
+    """Exact scalar propagation by distance z (same length units as extent).
+
+    Each spatial frequency kx advances by exp(i z sqrt(k^2 - kx^2));
+    evanescent components (|kx| > k) are dropped and the lost norm fraction
+    reported.  `aliasing_risk` flags spectral energy within 10% of the
+    Nyquist edge, where the periodic grid no longer represents free space
+    faithfully.  A grid spacing at or below a quarter wavelength resolves
+    every propagating frequency; coarser grids remain exact for fields that
+    are band-limited well inside the Nyquist window, so the spacing ratio
+    is reported rather than enforced.
+    """
+    return _angular_spectrum(field)(z)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -233,6 +234,37 @@ def test_fidelity_out_file(runner, tmp_path):
     assert f"wrote {out}" in result.output
     assert out.read_text().splitlines()[-1].startswith("20.0,2,")
     assert runner.invoke(main, args).stdout_bytes == out.read_bytes()
+
+
+def _fidelity_csv_digest(args, threads: int) -> str:
+    # BLAS reductions make the fidelity bytes depend on the thread count,
+    # so each pin runs in a fresh process with the count fixed
+    env = dict(os.environ, OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads))
+    result = subprocess.run(
+        [sys.executable, "-m", "talbotsim", "fidelity", *args],
+        capture_output=True, check=True, env=env,
+    )
+    return hashlib.sha256(result.stdout).hexdigest()
+
+
+FIDELITY_BENCHMARK_SIZE = [
+    "--n-slits", "20.5,50.1,80.3", "--n-x", "131072", "--truncation", "16",
+    "--m-max", "20", "--periodic-control",
+]
+
+
+@pytest.mark.parametrize(
+    "args,threads,digest",
+    [
+        (FIDELITY_BENCHMARK_SIZE, 1,
+         "164519da86926fb3f6b563da0442dc92159a0bdb71833b6a849fa6f58e6ce110"),
+        ([], 1, "533ae5d5185de843d7ecff23e39848d21c18c64873635f44da9ed516ada6d68f"),
+        ([], 2, json.loads(GOLDEN.read_text())["fidelity_sweep"]["golden_fidelity.csv"]),
+    ],
+    ids=["benchmark-size-1-thread", "default-1-thread", "default-2-threads-golden"],
+)
+def test_fidelity_csv_bytes_are_pinned(args, threads, digest):
+    assert _fidelity_csv_digest(args, threads) == digest
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ Gaussian overlaps exp(-d^2 / (4 sigma^2)).  This closed form is computed
 without any FFT and pins the simulated values to a few parts in 1e4.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,44 @@ def test_custom_sweep_shapes():
     assert {row.talbot_periods for row in rows} == {1, 2}
     assert all(row.n_slits == 8.0 for row in rows)
     assert rows[0].fidelity > rows[1].fidelity
+
+
+def test_sweep_reads_each_iterable_once():
+    rows = fidelity_sweep(
+        n_slits=iter((8.0, 12.0)),
+        m_list=iter((1, 2)),
+        n_x=2**12,
+        include_periodic_control=True,
+    )
+    keys = [(row.n_slits, row.talbot_periods) for row in rows]
+    assert keys == [(8.0, 1), (8.0, 2), (12.0, 1), (12.0, 2), (np.inf, 1), (np.inf, 2)]
+
+
+def test_sweep_rows_equal_single_revivals_bitwise():
+    rows = fidelity_sweep(n_slits=(8.0,), m_list=(1, 3, 2), n_x=2**12)
+    field = synthesize_gaussian_comb(SPEC, 8.0, 0.01, n_x=2**12)
+    for row in rows:
+        fidelity, report = revival_fidelity(field, row.talbot_periods)
+        assert row.fidelity == fidelity
+        assert row.dropped_norm_fraction == report.dropped_norm_fraction
+        assert row.aliasing_risk == report.aliasing_risk
+
+
+def test_sweep_memory_stays_within_eight_fields():
+    n_x = 2**17
+    tracemalloc.start()
+    try:
+        rows = fidelity_sweep(
+            (20.5, 50.1, 80.3),
+            range(1, 21),
+            mode_truncation=16,
+            n_x=n_x,
+            include_periodic_control=True,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 80
+    # eight fields of n_x complex samples (16 MiB); keeping the previous
+    # width's spectrum alive into the next width crosses it
+    assert peak <= 8 * n_x * 16

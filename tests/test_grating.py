@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from talbotsim import (
     GratingSpec,
+    ModeField,
     basis_wavefunction,
     grating_coefficients,
     mean_orthogonality,
@@ -92,6 +93,23 @@ def test_evaluate_shape_and_blocks_match_dense_sum():
     assert field.evaluate(np.array([])).shape == (0,)
 
 
+@pytest.mark.parametrize("M", [1, 4, 16, 128])
+def test_evaluate_is_bitwise_the_dense_sum(M):
+    # evaluate computes exp for modes 0..M only and conjugates them for
+    # -M..-1; the bits must equal the full dense product
+    field = grating_coefficients(GratingSpec(slit_width=0.3, mode_truncation=M))
+    n = 4096
+    grids = [
+        np.random.default_rng(M).uniform(-40.0, 40.0, 3000),
+        np.array([0.0, -0.0, 0.5, -0.5]),
+        (np.arange(n) - n // 2) * (16.0 * 20.5 / n),
+    ]
+    for x in grids:
+        dense = np.exp(2j * np.pi * np.outer(x, field.modes)) @ field.coefficients
+        values = field.evaluate(x)
+        assert np.array_equal(values.view(np.uint64), dense.view(np.uint64))
+
+
 def test_evaluate_memory_is_output_sized():
     field = grating_coefficients(GratingSpec(slit_width=0.3, mode_truncation=128))
     x = np.linspace(0.0, 1.0, 1 << 16, endpoint=False)
@@ -147,6 +165,16 @@ def test_spec_validation():
         GratingSpec(slit_width=1.2)
     with pytest.raises(ValueError):
         GratingSpec(mode_truncation=0)
+
+
+@pytest.mark.parametrize("bad", [2.5, float("nan"), True])
+def test_mode_counts_must_be_integers(bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        GratingSpec(mode_truncation=bad)
+    with pytest.raises(ValueError, match="must be an integer"):
+        ModeField(np.zeros(6), bad)
+    assert GratingSpec(mode_truncation=np.int64(3)).mode_truncation == 3
+    assert ModeField(np.zeros(7), np.int64(3)).truncation == 3
 
 
 @pytest.mark.parametrize("D", [2, 3, 4, 5])

@@ -21,7 +21,11 @@ from talbotsim import (
     replica_decompose,
     talbot_unitary,
 )
-from talbotsim.propagation import _MAX_EXACT_DENOMINATOR, _paraxial_phases
+from talbotsim.propagation import (
+    _MAX_EXACT_DENOMINATOR,
+    _angular_spectrum,
+    _paraxial_phases,
+)
 
 COPRIME = [(q, r) for r in range(1, 17) for q in range(1, r + 1) if gcd(q, r) == 1]
 
@@ -265,6 +269,21 @@ def test_angular_spectrum_reports_grid_spacing_ratio():
     _, report = propagate_angular_spectrum(field, 1.0)
     # dx = 1.0, quarter wavelength = 0.125
     assert abs(report.grid_spacing_over_quarter_wavelength - 8.0) < 1e-12
+
+
+def test_one_spectrum_serves_every_distance_bitwise():
+    # the z-independent half runs once; calling it for several z in any
+    # order must give the bytes of a fresh propagation at each z
+    rng = np.random.default_rng(11)
+    amplitudes = rng.normal(size=512) + 1j * rng.normal(size=512)
+    field = SampledField(amplitudes, extent=32.0, wavelength=0.1)
+    propagate = _angular_spectrum(field)
+    for z in (40.0, 0.0, 3.5, 40.0):
+        out, report = propagate(z)
+        fresh, fresh_report = propagate_angular_spectrum(field, z)
+        assert out.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+        assert report == fresh_report
+        assert report.distance == z
 
 
 def test_angular_spectrum_converges_to_paraxial_mode_phases():
