@@ -6,10 +6,6 @@ transmission/reflection pair, which makes Hong-Ou-Mandel interference
 level-selective.  Post-selecting on one photon per path after a
 transmission-dominated splitter and balancing filters yields a probabilistic
 controlled-Z gate on the pair.
-
-Mode convention: extended index p * D + d for path p (0 = a, 1 = b) and
-level d.  A two-photon state is a symmetric matrix psi over extended modes
-with unit Frobenius norm, |state> = 2^{-1/2} sum_ij psi_ij c_i^+ c_j^+ |0>.
 """
 
 import math
@@ -19,20 +15,14 @@ import numpy as np
 
 __all__ = [
     "SDBSSpec",
-    "balanced_splitter",
     "control_splitter",
     "filter_splitter",
     "sdbs_mode_map",
-    "TwoPhotonState",
-    "apply_mode_map",
-    "apply_sdbs",
-    "post_select_coincidence",
     "PostSelectedOperator",
     "build_cz",
     "ideal_cz_matrix",
     "interaction_phase_signature",
     "schmidt_coefficients",
-    "hadamard_input_pair",
 ]
 
 
@@ -64,6 +54,8 @@ class SDBSSpec:
                 f"transmission/reflection must have shape ({self.dim},), "
                 f"got {t.shape} and {r.shape}"
             )
+        if not (np.isfinite(t).all() and np.isfinite(r).all()):
+            raise ValueError("transmission/reflection amplitudes must be finite")
         power = np.abs(t) ** 2 + np.abs(r) ** 2
         if np.abs(power - 1.0).max() > 1e-12:
             raise ValueError("each level needs |t|^2 + |r|^2 = 1")
@@ -73,12 +65,6 @@ class SDBSSpec:
         r.setflags(write=False)
         object.__setattr__(self, "transmission", t)
         object.__setattr__(self, "reflection", r)
-
-
-def balanced_splitter(D: int) -> SDBSSpec:
-    """50/50 on every level: pairwise Hong-Ou-Mandel on the whole register."""
-    amp = np.full(D, 1.0 / math.sqrt(2.0))
-    return SDBSSpec(dim=D, transmission=amp, reflection=amp.copy())
 
 
 def control_splitter(D: int, k: int) -> SDBSSpec:
@@ -123,81 +109,6 @@ def _swap_matrix(D: int, swapped_levels) -> np.ndarray:
     for d in swapped_levels:
         P[[d, D + d]] = P[[D + d, d]]
     return P
-
-
-@dataclass(frozen=True)
-class TwoPhotonState:
-    """Symmetric two-photon amplitude matrix over extended modes."""
-
-    dim: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        psi = np.asarray(self.amplitudes, dtype=complex)
-        n = 2 * self.dim
-        if psi.shape != (n, n):
-            raise ValueError(f"amplitudes must be {n}x{n}, got {psi.shape}")
-        if np.abs(psi - psi.T).max() > 1e-12:
-            raise ValueError("two-photon amplitudes must be symmetric")
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"amplitude norm {norm!r} deviates from 1")
-        psi.setflags(write=False)
-        object.__setattr__(self, "amplitudes", psi)
-
-    @classmethod
-    def coincident_pair(cls, D: int, d: int, f: int) -> "TwoPhotonState":
-        """One photon in (a, d), one in (b, f)."""
-        if not (0 <= d < D and 0 <= f < D):
-            raise ValueError(f"levels must be in [0, {D}), got {d}, {f}")
-        psi = np.zeros((2 * D, 2 * D), dtype=complex)
-        i, j = d, D + f
-        psi[i, j] = psi[j, i] = 1.0 / math.sqrt(2.0)
-        return cls(dim=D, amplitudes=psi)
-
-    @classmethod
-    def from_product(cls, state_a: np.ndarray, state_b: np.ndarray) -> "TwoPhotonState":
-        """Independent photons: `state_a` on path a levels, `state_b` on path b."""
-        u = np.asarray(state_a, dtype=complex)
-        v = np.asarray(state_b, dtype=complex)
-        if u.ndim != 1 or v.shape != u.shape:
-            raise ValueError("path states must be equal-length vectors")
-        D = len(u)
-        ea = np.concatenate([u, np.zeros(D)])
-        eb = np.concatenate([np.zeros(D), v])
-        psi = (np.outer(ea, eb) + np.outer(eb, ea)) / math.sqrt(2.0)
-        psi /= np.linalg.norm(psi)
-        return cls(dim=D, amplitudes=psi)
-
-
-def apply_mode_map(state: TwoPhotonState, U: np.ndarray) -> TwoPhotonState:
-    """Evolve both photons by the single-photon unitary U: psi -> U psi U^T."""
-    n = 2 * state.dim
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (n, n):
-        raise ValueError(f"mode map must be {n}x{n}, got {U.shape}")
-    if np.abs(U @ U.conj().T - np.eye(n)).max() > 1e-12:
-        raise ValueError("mode map must be unitary")
-    return TwoPhotonState(dim=state.dim, amplitudes=U @ state.amplitudes @ U.T)
-
-
-def apply_sdbs(state: TwoPhotonState, spec: SDBSSpec) -> TwoPhotonState:
-    """Send both photons through the slitwise splitter."""
-    if spec.dim != state.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim}, splitter {spec.dim}")
-    return apply_mode_map(state, sdbs_mode_map(spec))
-
-
-def post_select_coincidence(state: TwoPhotonState) -> tuple[np.ndarray, float]:
-    """Coincidence amplitudes C[d, f] for one photon in (a, d) and one in (b, f).
-
-    C = sqrt(2) psi[a-block, b-block]; the success probability is |C|_F^2.
-    Bunched components (both photons in one path) are discarded, which is
-    what coincidence counting does.
-    """
-    D = state.dim
-    C = math.sqrt(2.0) * state.amplitudes[:D, D:]
-    return C, float(np.linalg.norm(C) ** 2)
 
 
 @dataclass(frozen=True)
@@ -265,8 +176,8 @@ def build_cz(D: int, k: int) -> PostSelectedOperator:
     U[i, D+f] U[D+j, d] + U[i, d] U[D+j, D+f], the two photon orderings of
     the symmetric input.  The 1/sqrt(2) of the input state multiplies the
     path-a factor and the sqrt(2) of post-selection the sum, where the
-    one-state-at-a-time evolution psi -> U psi U^T puts them, so the
-    entries carry the same bits as that evolution (signed zeros included).
+    one-state-at-a-time evolution of `_cz_by_state_evolution` puts them, so
+    the entries carry the same bits as that route (signed zeros included).
     """
     if not 0 <= k < D:
         raise ValueError(f"control level must satisfy 0 <= k < {D}, got {k}")
@@ -297,6 +208,28 @@ def build_cz(D: int, k: int) -> PostSelectedOperator:
     )
 
 
+def _cz_by_state_evolution(D: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, success) of `build_cz`, evolving one coincident input at a time.
+
+    Modes are indexed p * D + d for path p (0 = a, 1 = b) and level d.  A
+    two-photon state is a symmetric psi of unit Frobenius norm, |state> =
+    2^{-1/2} sum_ij psi_ij c_i^+ c_j^+ |0>, and evolves as U psi U^T with the
+    mode map U of `build_cz`.  Input (a, d)(b, f) is psi[d, D+f] = psi[D+f, d]
+    = 2^{-1/2}; its coincidences are sqrt(2) psi[:D, D:], filtered by t_d on
+    each side.
+    """
+    U = _swap_matrix(D, set(range(D)) - {k}) @ sdbs_mode_map(control_splitter(D, k))
+    filter_t = filter_splitter(D, k).transmission.real
+    matrix = np.zeros((D * D, D * D), dtype=complex)
+    for d in range(D):
+        for f in range(D):
+            psi = np.zeros((2 * D, 2 * D), dtype=complex)
+            psi[d, D + f] = psi[D + f, d] = 1.0 / math.sqrt(2.0)
+            C = math.sqrt(2.0) * (U @ psi @ U.T)[:D, D:]
+            matrix[:, d * D + f] = (filter_t[:, None] * C * filter_t[None, :]).reshape(-1)
+    return matrix, np.linalg.norm(matrix, axis=0) ** 2
+
+
 def _diagonal_corrections(matrix: np.ndarray, D: int, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Phases alpha_d + beta_f + gamma turning diag(matrix) into the CZ pattern.
 
@@ -321,14 +254,16 @@ def interaction_phase_signature(matrix: np.ndarray) -> np.ndarray:
     chi[d, f] = arg g_df - arg g_d0 - arg g_0f + arg g_00, wrapped to
     (-pi, pi], where g is the operator diagonal.  Single-path phase masks
     on either side cancel out of chi, so it isolates the genuine
-    interaction.  Requires a diagonal matrix (off-diagonal entries at most
-    1e-10) of uniform nonzero modulus.
+    interaction.  Requires a finite diagonal matrix (off-diagonal entries
+    at most 1e-10) of uniform nonzero modulus.
     """
     matrix = np.asarray(matrix, dtype=complex)
     n = matrix.shape[0]
     D = math.isqrt(n)
     if matrix.shape != (n, n) or D * D != n:
         raise ValueError(f"expected a D^2 x D^2 matrix, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix entries must be finite")
     off = matrix - np.diag(np.diagonal(matrix))
     off_norm = float(np.abs(off).max())
     if off_norm > 1e-10:
@@ -342,13 +277,10 @@ def interaction_phase_signature(matrix: np.ndarray) -> np.ndarray:
 
 
 def schmidt_coefficients(amplitudes) -> np.ndarray:
-    """Normalized Schmidt spectrum of a coincidence amplitude matrix.
+    """Normalized Schmidt spectrum of a D x D coincidence amplitude matrix.
 
-    Accepts a D x D matrix or a TwoPhotonState (its coincidence block is
-    used).  Returns singular values scaled to unit 2-norm, descending.
+    Returns singular values scaled to unit 2-norm, descending.
     """
-    if isinstance(amplitudes, TwoPhotonState):
-        amplitudes, _ = post_select_coincidence(amplitudes)
     C = np.asarray(amplitudes, dtype=complex)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {C.shape}")
@@ -358,8 +290,3 @@ def schmidt_coefficients(amplitudes) -> np.ndarray:
         raise ValueError("zero matrix has no Schmidt spectrum")
     return s / norm
 
-
-def hadamard_input_pair(D: int) -> TwoPhotonState:
-    """Both photons in the uniform superposition over levels."""
-    plus = np.full(D, 1.0 / math.sqrt(D))
-    return TwoPhotonState.from_product(plus, plus)

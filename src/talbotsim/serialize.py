@@ -53,8 +53,15 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
     return payload
 
 
+def _integer(value, name: str) -> int:
+    # int() would truncate 1.5 to 1 and read True as 1
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(payload: dict) -> np.ndarray:
-    dim = int(payload["dim"])
+    dim = _integer(payload["dim"], "dim")
     entries = payload["entries"]
     if len(entries) != dim or any(len(row) != dim for row in entries):
         raise ValueError(f"entries do not form a {dim}x{dim} matrix")
@@ -86,13 +93,13 @@ def program_from_json(payload: dict) -> OpticalProgram:
         steps = []
         for index, entry in enumerate(payload["steps"]):
             if "propagate" in entry:
-                frac = entry["propagate"]
-                steps.append(Propagate(Fraction(int(frac["num"]), int(frac["den"]))))
+                num, den = (_integer(entry["propagate"][key], key) for key in ("num", "den"))
+                steps.append(Propagate(Fraction(num, den)))
             elif "phase_mask" in entry:
                 steps.append(PhaseMask(tuple(float(p) for p in entry["phase_mask"])))
             else:
                 raise ValueError(f"step {index}: unknown step kind {sorted(entry)}")
-        return OpticalProgram(dim=int(payload["dim"]), steps=tuple(steps))
+        return OpticalProgram(dim=_integer(payload["dim"], "dim"), steps=tuple(steps))
     except (KeyError, TypeError, ArithmeticError) as error:
         raise ValueError(f"malformed program: {type(error).__name__}: {error}") from error
 

@@ -20,6 +20,7 @@ from .gates import (
 )
 from .gauss import gauss_coefficients
 from .photonpair import (
+    _cz_by_state_evolution,
     build_cz,
     ideal_cz_matrix,
     interaction_phase_signature,
@@ -164,6 +165,11 @@ def _run_czgate(dims=(2, 3, 4)) -> list[Check]:
             ).max()
             checks.append(_check(
                 "czgate", f"corrected matrix D={D} k={k}", corrected_residual, 1e-10,
+            ))
+            matrix, _ = _cz_by_state_evolution(D, k)
+            checks.append(_check(
+                "czgate", f"state evolution vs tensor D={D} k={k}",
+                np.abs(op.matrix - matrix).max(), 0.0,
             ))
     # entangling power on a qubit pair of uniform superpositions
     plus = np.full(2, 1.0 / np.sqrt(2.0))

@@ -79,11 +79,11 @@ def test_verify_all_suites(runner, tmp_path):
     assert result.exit_code == 0
     assert result.output.splitlines()[-1] == "suite 'all': all checks passed"
     checks = json.loads(report.read_text())["checks"]
-    assert len(checks) == 128
+    assert len(checks) == 137
     assert all(check["passed"] for check in checks)
     names = "\n".join(f"{check['suite']}: {check['name']}" for check in checks)
     assert hashlib.sha256(names.encode()).hexdigest() == (
-        "3c8618ac134f4037e176050413a08dbf31e51ffdfb471c1f454a1b6151d4884d"
+        "b44e68009540723ae9541a874d7e0b54ad8f2fd9033f72925b5bf31724bdac9b"
     )
 
 
@@ -380,6 +380,8 @@ MALFORMED_PROGRAMS = {
     "step-int": '{"dim": 2, "steps": [5]}',
     "inf-num": '{"dim": 2, "steps": [{"propagate": {"num": 1e999, "den": 1}}]}',
     "nan-phase": '{"dim": 2, "steps": [{"phase_mask": [0.0, NaN]}]}',
+    "fractional-num": '{"dim": 2, "steps": [{"propagate": {"num": 1.5, "den": 4}}]}',
+    "bool-den": '{"dim": 2, "steps": [{"propagate": {"num": 1, "den": true}}]}',
     "not-json": "{",
 }
 

@@ -55,6 +55,9 @@ def test_matrix_json_validation():
     bad = {"dim": 2, "entries": [[{"re": 0.0, "im": 0.0}]]}
     with pytest.raises(ValueError, match="2x2"):
         matrix_from_json(bad)
+    # int() would read dim 1.5 as 1 and accept the 1x1 entries
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        matrix_from_json({"dim": 1.5, "entries": [[{"re": 0.0, "im": 0.0}]]})
 
 
 def test_program_round_trip():
@@ -83,13 +86,28 @@ def test_program_json_structure():
         {"steps": []},
         [{"dim": 2, "steps": []}],
         {"dim": 2, "steps": [{"phase_mask": [0.0, float("nan")]}]},
+        {"dim": 2, "steps": [{"propagate": {"num": 1.5, "den": 4}}]},
+        {"dim": 2, "steps": [{"propagate": {"num": 1, "den": 4.5}}]},
+        {"dim": 2, "steps": [{"propagate": {"num": True, "den": 4}}]},
+        {"dim": 2.5, "steps": []},
+        {"dim": True, "steps": []},
+        {"dim": 2, "steps": [{"propagate": {"num": "1", "den": 4}}]},
+        {"dim": 2, "steps": [{"propagate": {"num": float("nan"), "den": 4}}]},
     ],
     ids=["zero-den", "inf-num", "steps-int", "step-int", "propagate-int", "no-dim",
-         "top-level-list", "nan-phase"],
+         "top-level-list", "nan-phase", "fractional-num", "fractional-den", "bool-num",
+         "fractional-dim", "bool-dim", "string-num", "nan-num"],
 )
 def test_program_from_json_malformed_payload_is_value_error(payload):
     with pytest.raises(ValueError):
         program_from_json(payload)
+
+
+def test_program_from_json_reads_integral_floats_exactly():
+    # 2.0 is an integer value; only a fractional part or a bool is refused
+    program = program_from_json({"dim": 2.0, "steps": [{"propagate": {"num": 1.0, "den": 4}}]})
+    assert program.dim == 2
+    assert program.steps == (Propagate(Fraction(1, 4)),)
 
 
 def test_program_from_json_rejects_unknown_step():
