@@ -11,10 +11,12 @@ dependent on the chosen modes included), or a file that cannot be read
 or written.  A stdout pipe closed by its reader (`gate -d 128 | head -c
 20`) ends the run with exit 1 and no message, by click's broken-pipe rule;
 the reader keeps what it read.  All outputs are byte-deterministic for a
-fixed command line and a fixed BLAS thread count.  The `fidelity` CSV can
-differ in its last digit between OpenBLAS thread counts; pin them with
-OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before launch, since the backend
-reads them only when numpy is first imported.
+fixed command line, a fixed BLAS thread count and a fixed NumPy CPU
+dispatch: on an AVX-512 CPU, complex a*b and b*a can differ in the last
+bit, so a CPU with other SIMD extensions can change float digits.  The
+`fidelity` CSV can differ in its last digit between OpenBLAS thread
+counts; pin them with OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before
+launch, since the backend reads them only when numpy is first imported.
 """
 
 import json

@@ -73,8 +73,10 @@ def synthesize_gaussian_comb(
         raise ValueError(
             f"extent_factor must be finite and >= {MIN_EXTENT_FACTOR}, got {extent_factor}"
         )
-    extent = extent_factor * sigma
     n = int(n_x)
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"n_x must be a power of two >= 2, got {n_x}")
+    extent = extent_factor * sigma
     x = (np.arange(n) - n // 2) * (extent / n)
     comb = grating_coefficients(spec).evaluate(x)
     envelope = np.exp(-(x**2) / (2.0 * sigma**2))

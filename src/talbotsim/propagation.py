@@ -241,7 +241,13 @@ class SampledField:
         n = self.norm()
         if n == 0:
             raise ValueError("cannot normalize the zero field")
-        return SampledField(self.amplitudes / n, self.extent, self.wavelength)
+        with np.errstate(invalid="ignore", over="ignore"):
+            amplitudes = self.amplitudes / n
+        # a NaN or infinite norm, or a quotient past the float range, leaves
+        # NaN, inf or all-zero samples instead of raising
+        if not (n < math.inf and np.isfinite(amplitudes).all()):
+            raise ValueError(f"cannot normalize a field of norm {n}")
+        return SampledField(amplitudes, self.extent, self.wavelength)
 
 
 @dataclass(frozen=True)
@@ -285,6 +291,8 @@ def _angular_spectrum(field: SampledField):
     spacing_ratio = float(dx / (field.wavelength / 4.0))
 
     def propagate(z: float) -> tuple[SampledField, PropagationReport]:
+        # NumPy's temporary elision computes this as exp * spectrum, in place;
+        # the pinned fidelity CSV hashes depend on that operand order
         propagated = np.where(keep, spectrum * np.exp(1j * z * kz), 0.0)
         out = SampledField(np.fft.ifft(propagated), field.extent, field.wavelength)
         report = PropagationReport(

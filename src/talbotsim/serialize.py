@@ -4,7 +4,10 @@ Every writer produces byte-identical output for identical inputs: floats
 are rendered by repr (shortest round-trip form), key order is fixed, and
 no timestamps or environment details are embedded.  JSON and CSV go to a
 path or a text stream a piece at a time (a matrix row, a CSV line), so no
-writer holds the whole text in memory.
+writer holds the whole text in memory.  A matrix row reuses the cell texts
+of an earlier row for entries with the same bytes, so a circulant gate or
+a CZ matrix renders few of its floats; a row with an entry they lack is
+rendered whole, as one format call.
 """
 
 import json
@@ -158,6 +161,12 @@ def _json_pieces(value, level: int):
 
 
 def _matrix_pieces(matrix: np.ndarray, outer: str):
+    # A Talbot gate is circulant and a CZ matrix nearly all zeros, so most
+    # rows hold only entries an earlier row rendered.  The cell texts of one
+    # rendered row are kept, keyed on each entry's 16 raw bytes (which keeps
+    # 0.0 apart from -0.0), and a row is rendered only if an entry misses.
+    # A rendered row is cut into cells only once the next row's first entry
+    # is found in it, so a matrix of all-distinct entries pays no cutting.
     matrix = _square(matrix)
     dim = matrix.shape[0]
     if dim == 0:
@@ -166,18 +175,33 @@ def _matrix_pieces(matrix: np.ndarray, outer: str):
     row_indent = outer + "  "
     cell_indent = row_indent + "  "
     field_indent = cell_indent + "  "
-    cell = "{" + field_indent + '"re": %r,' + field_indent + '"im": %r' + cell_indent + "}"
-    row_text = "[" + cell_indent + ("," + cell_indent).join([cell] * dim) + row_indent + "]"
+    cell = field_indent + '"re": %r,' + field_indent + '"im": %r' + cell_indent
+    # "}" closes a cell and occurs nowhere else in a row, so `between` cuts a
+    # rendered row into its cells, braces stripped
+    head, between, tail = "[" + cell_indent + "{", "}," + cell_indent + "{", "}" + row_indent + "]"
+    row_text = head + between.join([cell] * dim) + tail
+    raw = np.dtype((np.void, 16))
+    texts = {}
+    rendered = None  # (entries, text) of the last rendered row, until cut
     values = [0.0] * (2 * dim)
     for index, row in enumerate(matrix):
-        values[0::2] = row.real.tolist()
-        values[1::2] = row.imag.tolist()
-        if np.isfinite(row).all():
-            text = row_text % tuple(values)
-        else:
-            # json.dumps spells out NaN, Infinity and -Infinity, which repr
-            # writes as nan and inf; finite floats it renders by repr too.
-            text = row_text.replace("%r", "%s") % tuple(map(json.dumps, values))
+        entries = row.view(raw)
+        if rendered is not None and (rendered[0] == entries[0]).any():
+            cells = rendered[1][len(head):-len(tail)].split(between)
+            texts = dict(zip(rendered[0].tolist(), cells))
+            rendered = None
+        try:
+            text = head + between.join(map(texts.__getitem__, entries.tolist())) + tail
+        except KeyError:
+            values[0::2] = row.real.tolist()
+            values[1::2] = row.imag.tolist()
+            if np.isfinite(row).all():
+                text = row_text % tuple(values)
+            else:
+                # json.dumps spells out NaN, Infinity and -Infinity, which repr
+                # writes as nan and inf; finite floats it renders by repr too.
+                text = row_text.replace("%r", "%s") % tuple(map(json.dumps, values))
+            rendered = entries, text
         yield ("[" if index == 0 else ",") + row_indent + text
     yield outer + "]"
 

@@ -397,6 +397,11 @@ BAD_INPUT = {
     "fidelity-extent-nan": ["fidelity", "--extent-factor", "nan"],
     "fidelity-n-slits-inf": ["fidelity", "--n-slits", "inf"],
     "fidelity-wavelength-inf": ["fidelity", "--wavelength", "inf"],
+    "fidelity-n-x-0": ["fidelity", "--n-x", "0"],
+    "fidelity-n-x-negative": ["fidelity", "--n-x", "-4"],
+    # sigma**2 underflows to 0, so the envelope and its norm are NaN
+    "fidelity-n-slits-tiny": ["fidelity", "--n-slits", "1e-300", "--n-x", "1024",
+                              "--m-max", "2"],
     "carpet-wavelength": ["carpet", "--wavelength", "0.37", "--out", "out.pgm"],
     "prepare-wavelength": ["prepare", "--theta", "0.8", "--phi", "1.1", "--wavelength", "0.37",
                            "--out-prefix", "out"],

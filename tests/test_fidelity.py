@@ -142,6 +142,13 @@ def test_synthesize_refuses_bad_sigma():
             synthesize_gaussian_comb(SPEC, bad, 0.01)
 
 
+def test_synthesize_refuses_bad_sample_count():
+    # n_x = 0 divided by zero before SampledField could check it
+    for bad in (0, -4, 3, 1000):
+        with pytest.raises(ValueError, match=f"n_x must be a power of two >= 2, got {bad}$"):
+            synthesize_gaussian_comb(SPEC, 5.0, 0.01, n_x=bad)
+
+
 def test_synthesize_refuses_tight_extent():
     for bad in (4.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="extent_factor"):

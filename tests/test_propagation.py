@@ -205,6 +205,11 @@ def test_sampled_field_validation():
     for bad in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="wavelength must be positive and finite"):
             SampledField(np.ones(64), extent=1.0, wavelength=bad)
+    # a NaN or infinite norm would divide into NaN or all-zero samples
+    with pytest.raises(ValueError, match="cannot normalize a field of norm nan"):
+        SampledField(np.full(64, np.nan), extent=1.0, wavelength=0.01).normalized()
+    with pytest.raises(ValueError, match="cannot normalize a field of norm inf"):
+        SampledField(np.r_[np.ones(63), np.inf], extent=1.0, wavelength=0.01).normalized()
     field = SampledField(np.ones(64), extent=32.0, wavelength=0.01)
     assert field.dx == 0.5
     assert field.x[32] == 0.0

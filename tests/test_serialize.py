@@ -138,9 +138,9 @@ entry_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
 
 
 @st.composite
-def complex_matrices(draw, max_dim=4):
+def complex_matrices(draw, max_dim=4, floats=entry_floats):
     dim = draw(st.integers(0, max_dim))
-    parts = draw(st.lists(entry_floats, min_size=2 * dim * dim, max_size=2 * dim * dim))
+    parts = draw(st.lists(floats, min_size=2 * dim * dim, max_size=2 * dim * dim))
     matrix = np.empty((dim, dim), dtype=complex)
     matrix.real.flat = parts[::2]
     matrix.imag.flat = parts[1::2]
@@ -196,6 +196,40 @@ def test_dumps_and_write_json_equal_json_dumps(matrix, inner, extras, flag):
         assert _streamed(payload) == expected
 
 
+# A pool so small that rows repeat entries and share them with the row
+# before, the case in which the writer reuses a row's cell texts; 0.0 and
+# -0.0 have equal hashes but distinct text, and NaN is unequal to itself.
+POOL_FLOATS = [0.0, -0.0, 5e-324, float("nan"), float("inf"), float("-inf"), 0.1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=complex_matrices(max_dim=5, floats=st.sampled_from(POOL_FLOATS)))
+@example(np.array([[0.0, 1.0], [-0.0, 1.0]], dtype=complex))
+@example(np.array([[1.0, complex(0.0, -0.0)], [complex(0.0, 0.0), 1.0]]))
+@example(np.array([[0.1, 0.1, 0.1], [0.1, -0.0, 0.1], [0.1, 0.1, 0.0]], dtype=complex))
+def test_repeated_entries_render_as_json_dumps_does(matrix):
+    for payload in ({"dim": len(matrix), "entries": matrix},
+                    {"matrix": {"dim": len(matrix), "entries": matrix}}):
+        expected = _expected_json(payload)
+        assert dumps(payload) == expected
+        assert _streamed(payload) == expected
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [talbot_unitary(dim, q) for dim in range(1, 9) for q in (1, 2 * dim - 1)]
+    + [build_cz(dim, control).matrix for dim in (2, 3, 4) for control in range(dim)]
+    + [talbot_unitary(6, 5).T, np.asfortranarray(build_cz(3, 1).matrix)],
+)
+def test_gate_and_cz_matrices_render_as_json_dumps_does(matrix):
+    # circulant gates and CZ matrices: every row after the first is made of
+    # entries an earlier row holds; the last two are not C-contiguous
+    payload = {"dim": len(matrix), "entries": matrix}
+    expected = _expected_json(payload)
+    assert dumps(payload) == expected
+    assert _streamed(payload) == expected
+
+
 def test_write_json_to_path_equals_dumps(tmp_path):
     payload = {"steps": 2, "dim": 3, "entries": talbot_unitary(3, 2)}
     path = tmp_path / "gate.json"
@@ -233,18 +267,31 @@ def test_json_payload_validation():
 
 
 def test_write_json_memory_is_one_row(tmp_path):
-    # czgate -d 24 writes 20.6 MB; the entries as dicts, or the text as one
-    # string, would each take tens of MB
-    payload = _postselected_fields(build_cz(24, 5))
-    path = tmp_path / "cz.json"
-    tracemalloc.start()
-    try:
-        write_json(path, payload)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert path.stat().st_size > 20_000_000
-    assert peak < 2_000_000
+    # the entries as dicts, or the text as one string, would take tens of MB
+    rng = np.random.default_rng(0)
+    # each row shares its first entry with the row before, so every row is
+    # looked up in the last one's cell texts, and all its other entries are
+    # new: texts kept past their row would pile up to the whole matrix
+    distinct = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    distinct[:, 0] = 0.5
+    large = {
+        # czgate -d 24 -k 5: 20.6 MB, 4 distinct entries
+        "czgate-24": (_postselected_fields(build_cz(24, 5)), 20_000_000),
+        # gate -d 256 -q 511: 5.8 MB, circulant
+        "gate-256-511": ({"kind": "talbot_unitary", "steps": 511, "dim": 256,
+                          "entries": talbot_unitary(256, 511)}, 5_000_000),
+        "distinct-256": ({"dim": 256, "entries": distinct}, 5_000_000),
+    }
+    path = tmp_path / "out.json"
+    for name, (payload, size) in large.items():
+        tracemalloc.start()
+        try:
+            write_json(path, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > size, name
+        assert peak < 2_000_000, (name, peak)
 
 
 def test_postselected_payload_schema():
