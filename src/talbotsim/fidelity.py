@@ -69,6 +69,8 @@ def synthesize_gaussian_comb(
     """
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not 0 < sigma * sigma < math.inf:
+        raise ValueError(f"sigma {sigma} is out of range: sigma^2 underflows or overflows")
     if not MIN_EXTENT_FACTOR <= extent_factor < math.inf:
         raise ValueError(
             f"extent_factor must be finite and >= {MIN_EXTENT_FACTOR}, got {extent_factor}"

@@ -222,6 +222,11 @@ class SampledField:
             raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if not 0 < self.wavelength < math.inf:
             raise ValueError(f"wavelength must be positive and finite, got {self.wavelength}")
+        wavenumber = 2.0 * math.pi / self.wavelength
+        if not wavenumber * wavenumber < math.inf:
+            raise ValueError(
+                f"wavelength {self.wavelength} is too small: (2 pi / wavelength)^2 overflows"
+            )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -235,7 +240,14 @@ class SampledField:
         return (np.arange(n) - n // 2) * self.dx
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes) * math.sqrt(self.dx))
+        norm = float(np.linalg.norm(self.amplitudes) * math.sqrt(self.dx))
+        if norm == 0 and self.amplitudes.any():
+            # the squares underflowed: take the norm of the samples scaled
+            # to a largest modulus of 1 and scale it back
+            moduli = np.abs(self.amplitudes)
+            scale = float(moduli.max())
+            norm = float(np.linalg.norm(moduli / scale) * math.sqrt(self.dx)) * scale
+        return norm
 
     def normalized(self) -> "SampledField":
         n = self.norm()
@@ -267,6 +279,13 @@ def _angular_spectrum(field: SampledField):
     Runs the forward FFT, the power sums, the evanescent and Nyquist masks
     and k_z, and returns propagate(z) -> (SampledField, PropagationReport),
     which applies only the z-dependent phase and the inverse FFT.
+
+    fftfreq negates exactly, so k_z[n - j] == k_z[j] bit for bit, and |kx|
+    grows with j up to the Nyquist bin n/2: the propagating bins are the
+    prefix 0..kept-1 and its mirror n-kept+1..n-1 (a kept Nyquist bin is
+    its own mirror, written twice with the same product).  Each call takes
+    the phase on the prefix only and writes both runs into one buffer
+    whose evanescent bins stay zero.
     """
     n = len(field.amplitudes)
     dx = field.dx
@@ -284,16 +303,25 @@ def _angular_spectrum(field: SampledField):
     edge_power = float((np.abs(spectrum[near_edge]) ** 2).sum())
     aliasing = bool(total_power > 0 and edge_power / total_power > 1e-12)
 
-    kz = np.zeros(n)
-    keep = ~evanescent
-    kz[keep] = np.sqrt(np.maximum(k**2 - kx[keep] ** 2, 0.0))
     evanescent_count = int(evanescent.sum())
+    kept = n // 2 + 1 - int(evanescent[: n // 2 + 1].sum())
+    mirror = n - kept + 1
+    kz = np.sqrt(np.maximum(k**2 - kx[:kept] ** 2, 0.0))
     spacing_ratio = float(dx / (field.wavelength / 4.0))
+    # the full-length setup arrays go before the buffer comes
+    del kx, evanescent, near_edge
+    propagated = np.zeros(n, dtype=complex)
 
     def propagate(z: float) -> tuple[SampledField, PropagationReport]:
-        # NumPy's temporary elision computes this as exp * spectrum, in place;
-        # the pinned fidelity CSV hashes depend on that operand order
-        propagated = np.where(keep, spectrum * np.exp(1j * z * kz), 0.0)
+        phase = np.exp(1j * z * kz)
+        # phase first, straight into the buffer: complex products round by
+        # operand order, and the pinned fidelity CSVs hold exp * spectrum.
+        # Never write `phase * spectrum[idx]`: above 256 KiB NumPy's
+        # temporary elision computes it in place in the indexed temporary,
+        # which swaps the operands and moves the CSV bytes.
+        np.multiply(phase, spectrum[:kept], out=propagated[:kept])
+        np.multiply(phase[:0:-1], spectrum[mirror:], out=propagated[mirror:])
+        del phase
         out = SampledField(np.fft.ifft(propagated), field.extent, field.wavelength)
         report = PropagationReport(
             distance=float(z),

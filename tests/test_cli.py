@@ -399,9 +399,17 @@ BAD_INPUT = {
     "fidelity-wavelength-inf": ["fidelity", "--wavelength", "inf"],
     "fidelity-n-x-0": ["fidelity", "--n-x", "0"],
     "fidelity-n-x-negative": ["fidelity", "--n-x", "-4"],
-    # sigma**2 underflows to 0, so the envelope and its norm are NaN
+    # sigma**2 underflows to 0, which the envelope divides by, or overflows
     "fidelity-n-slits-tiny": ["fidelity", "--n-slits", "1e-300", "--n-x", "1024",
                               "--m-max", "2"],
+    "fidelity-n-slits-huge": ["fidelity", "--n-slits", "1e300", "--n-x", "1024",
+                              "--m-max", "2"],
+    # (2 pi / wavelength)^2 overflows: in Python's ** for 1e-300, and to an
+    # infinite k, hence NaN fidelities, for 1e-320
+    "fidelity-wavelength-tiny": ["fidelity", "--wavelength", "1e-300", "--n-x", "1024",
+                                 "--m-max", "2"],
+    "fidelity-wavelength-subnormal": ["fidelity", "--wavelength", "1e-320", "--n-x", "1024",
+                                      "--m-max", "2"],
     "carpet-wavelength": ["carpet", "--wavelength", "0.37", "--out", "out.pgm"],
     "prepare-wavelength": ["prepare", "--theta", "0.8", "--phi", "1.1", "--wavelength", "0.37",
                            "--out-prefix", "out"],

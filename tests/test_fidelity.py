@@ -7,6 +7,7 @@ Gaussian overlaps exp(-d^2 / (4 sigma^2)).  This closed form is computed
 without any FFT and pins the simulated values to a few parts in 1e4.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -140,6 +141,14 @@ def test_synthesize_refuses_bad_sigma():
     for bad in (0.0, -5.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             synthesize_gaussian_comb(SPEC, bad, 0.01)
+
+
+@pytest.mark.parametrize("sigma", [1e300, 1e-300])
+def test_synthesize_refuses_sigma_whose_square_leaves_the_float_range(sigma):
+    # 1e300 overflowed at sigma**2 with an OverflowError; 1e-300 squared to
+    # 0 and divided the envelope by zero into a NaN norm
+    with pytest.raises(ValueError, match=re.escape(f"sigma {sigma} is out of range")):
+        synthesize_gaussian_comb(SPEC, sigma, 0.01, n_x=2**10)
 
 
 def test_synthesize_refuses_bad_sample_count():

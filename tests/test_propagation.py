@@ -1,6 +1,7 @@
 """Paraxial propagation, replica decomposition, crosscheck, angular spectrum."""
 
 import cmath
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +20,7 @@ from talbotsim import (
     propagate_angular_spectrum,
     propagate_paraxial,
     replica_decompose,
+    synthesize_gaussian_comb,
     talbot_unitary,
 )
 from talbotsim.propagation import (
@@ -210,6 +212,10 @@ def test_sampled_field_validation():
         SampledField(np.full(64, np.nan), extent=1.0, wavelength=0.01).normalized()
     with pytest.raises(ValueError, match="cannot normalize a field of norm inf"):
         SampledField(np.r_[np.ones(63), np.inf], extent=1.0, wavelength=0.01).normalized()
+    # (2 pi / wavelength)^2 overflowed in k**2, or k itself was infinite
+    for tiny in (1e-300, 1e-320):
+        with pytest.raises(ValueError, match=f"wavelength {tiny} is too small"):
+            SampledField(np.ones(64), extent=1.0, wavelength=tiny)
     field = SampledField(np.ones(64), extent=32.0, wavelength=0.01)
     assert field.dx == 0.5
     assert field.x[32] == 0.0
@@ -289,6 +295,86 @@ def test_one_spectrum_serves_every_distance_bitwise():
         assert out.amplitudes.tobytes() == fresh.amplitudes.tobytes()
         assert report == fresh_report
         assert report.distance == z
+
+
+def test_normalizing_tiny_samples_scales_past_the_underflow():
+    # each square underflows to 0, so the plain norm is 0 for a nonzero field
+    field = SampledField(np.full(64, 1e-200), extent=1.0, wavelength=0.01)
+    assert field.norm() == 1e-200
+    assert np.abs(field.normalized().amplitudes - 1.0).max() < 1e-15
+    with pytest.raises(ValueError, match="cannot normalize the zero field"):
+        SampledField(np.zeros(64), extent=1.0, wavelength=0.01).normalized()
+
+
+def _dense_angular_spectrum(field: SampledField, z: float) -> np.ndarray:
+    """propagate(z) over all n bins, with the evanescent ones masked out."""
+    n = len(field.amplitudes)
+    spectrum = np.fft.fft(field.amplitudes)
+    kx = 2.0 * np.pi * np.fft.fftfreq(n, d=field.dx)
+    k = 2.0 * np.pi / field.wavelength
+    keep = ~(np.abs(kx) > k)
+    kz = np.zeros(n)
+    kz[keep] = np.sqrt(np.maximum(k**2 - kx[keep] ** 2, 0.0))
+    return np.fft.ifft(np.where(keep, np.exp(1j * z * kz) * spectrum, 0.0))
+
+
+def _random_field(n: int, wavelength: float) -> SampledField:
+    rng = np.random.default_rng(n)
+    return SampledField(rng.normal(size=n) + 1j * rng.normal(size=n), 16.0, wavelength)
+
+
+def _assert_matches_dense_reference(field: SampledField, evanescent: int) -> None:
+    propagate = _angular_spectrum(field)
+    for z in (200.0, 0.0, 3.5, 2000.0, 200.0):
+        out, report = propagate(z)
+        assert out.amplitudes.tobytes() == _dense_angular_spectrum(field, z).tobytes()
+        assert report.evanescent_mode_count == evanescent
+
+
+@pytest.mark.parametrize(
+    "n,wavelength,evanescent",
+    [
+        (2, 0.01, 0), (4, 0.01, 0), (1024, 0.01, 0),  # every bin kept
+        (2, 100.0, 1), (4, 100.0, 3), (1024, 100.0, 1023),  # only bin 0 kept
+        (4, 10.0, 1),  # all but the Nyquist bin
+        (1024, 0.3, 917),  # bins -53..53 kept
+    ],
+)
+def test_angular_spectrum_matches_dense_reference_bitwise(n, wavelength, evanescent):
+    _assert_matches_dense_reference(_random_field(n, wavelength), evanescent)
+
+
+@pytest.mark.parametrize("sigma,evanescent", [(5.0, 49535), (100.0, 0)])
+def test_fidelity_grid_matches_dense_reference_bitwise(sigma, evanescent):
+    # the default fidelity grid: sigma 5 drops most bins, sigma 100 keeps
+    # every bin, the Nyquist bin included
+    spec = GratingSpec(slit_width=0.5, mode_truncation=4)
+    _assert_matches_dense_reference(synthesize_gaussian_comb(spec, sigma, 0.01), evanescent)
+
+
+def test_one_angular_spectrum_step_allocates_about_one_field():
+    n = 2**17
+    field_bytes = n * 16
+    # every bin propagates, so the phase spans the whole half-spectrum
+    field = _random_field(n, 1e-4)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        propagate = _angular_spectrum(field)
+        held = tracemalloc.get_traced_memory()[0] - start
+        propagate(1.0)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out, report = propagate(2.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.evanescent_mode_count == 0
+    # the closure holds the spectrum, the buffer and k_z on the kept half;
+    # a call's half-length phase is freed before the inverse FFT allocates
+    assert held <= 2.5 * field_bytes
+    assert peak <= 1.5 * field_bytes
+    assert len(out.amplitudes) == n
 
 
 def test_angular_spectrum_converges_to_paraxial_mode_phases():
