@@ -11,7 +11,8 @@ Rows are synthesized on the x-grid j / x_steps, where mode m is
 indistinguishable from FFT bin m mod x_steps: the paraxial phases of a
 block of rows form one (rows, modes) array, the modes fold onto their bins,
 and one batched inverse FFT along x gives every row of the block.  The CLI
-streams a carpet's CSV to disk line by line (serialize.write_csv).
+streams a carpet's CSV to disk a block of rows at a time, each distinct
+value of a column rendered once per block (serialize.write_csv).
 """
 
 import math

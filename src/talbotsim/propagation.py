@@ -253,8 +253,14 @@ class SampledField:
         n = self.norm()
         if n == 0:
             raise ValueError("cannot normalize the zero field")
+        amplitudes = self.amplitudes
+        if 1.0 / n == math.inf:
+            # complex division multiplies by 1 / n, which overflows for a
+            # subnormal n.  Scaling both sides by a power of two is exact, and
+            # 2^64 lifts even 2^-1074 to where 1 / n is finite.
+            amplitudes, n = amplitudes * 2.0**64, n * 2.0**64
         with np.errstate(invalid="ignore", over="ignore"):
-            amplitudes = self.amplitudes / n
+            amplitudes = amplitudes / n
         # a NaN or infinite norm, or a quotient past the float range, leaves
         # NaN, inf or all-zero samples instead of raising
         if not (n < math.inf and np.isfinite(amplitudes).all()):

@@ -3,15 +3,18 @@
 Every writer produces byte-identical output for identical inputs: floats
 are rendered by repr (shortest round-trip form), key order is fixed, and
 no timestamps or environment details are embedded.  JSON and CSV go to a
-path or a text stream a piece at a time (a matrix row, a CSV line), so no
-writer holds the whole text in memory.  A matrix row reuses the cell texts
-of an earlier row for entries with the same bytes, so a circulant gate or
-a CZ matrix renders few of its floats; a row with an entry they lack is
-rendered whole, as one format call.
+path or a text stream a piece at a time (a matrix row, a block of CSV
+rows), so no writer holds the whole text in memory.  A matrix row reuses
+the cell texts of an earlier row for entries with the same bytes, so a
+circulant gate or a CZ matrix renders few of its floats; a row with an
+entry they lack is rendered whole, as one format call.  A CSV block renders
+each distinct float of a column once, so a carpet's coordinates are not
+rendered again on every row.
 """
 
 import json
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -242,20 +245,47 @@ def write_pgm(path, intensity: np.ndarray) -> None:
         handle.write(pixels.tobytes())
 
 
+# Rows per CSV block: large enough that numpy's per-call cost is spread
+# thin, small enough that a block's texts stay well under a megabyte.
+_CSV_BLOCK_ROWS = 1024
+
+
 def _csv_lines(header: list, rows, metadata: dict | None):
+    # The text in pieces of one block of rows each.  A block is rendered one
+    # column at a time, each distinct float of a column once, and its lines
+    # are joined in C; a carpet's coordinates repeat on every row.
+    if not header:
+        raise ValueError("a CSV table needs at least one column")
     if metadata:
         for key, value in metadata.items():
             yield f"# {key}: {_render(value)}\n"
     yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(_render(value) for value in row) + "\n"
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+        if set(map(len, block)) != {len(header)}:
+            raise ValueError(f"every CSV row must have the header's {len(header)} cells")
+        columns = map(_column_texts, zip(*block))
+        yield "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _column_texts(column: tuple) -> list:
+    # _render of each cell.  A column of Python floats renders each distinct
+    # value once, keyed on its 8 raw bytes so that 0.0 and -0.0 stay apart;
+    # its subclasses (np.float64 among them) go through _render.
+    if set(map(type, column)) != {float}:
+        return list(map(_render, column))
+    keys, inverse = np.unique(np.array(column).view(np.uint64), return_inverse=True)
+    texts = list(map(float.__repr__, keys.view(float).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
 
 
 def format_csv(header: list, rows, metadata: dict | None = None) -> str:
     """CSV text with optional '# key: value' metadata lines before the header.
 
     Floats are rendered by repr so a reader recovers them exactly; other
-    values go through str.
+    values go through str.  Every row must have as many cells as the header.
+    Rows are rendered in blocks, column by column, each distinct float of a
+    column once per block.
     """
     return "".join(_csv_lines(header, rows, metadata))
 
@@ -263,8 +293,9 @@ def format_csv(header: list, rows, metadata: dict | None = None) -> str:
 def write_csv(target, header: list, rows, metadata: dict | None = None) -> None:
     """Write format_csv(header, rows, metadata) to `target`, a path or a text stream.
 
-    The bytes equal format_csv's, but the text goes out line by line and is
-    never held whole in memory, so `rows` can be a generator over a large table.
+    The bytes equal format_csv's, but the text goes out one block of rows at
+    a time and is never held whole in memory, so `rows` can be a generator
+    over a large table.
     """
     _write_chunks(target, _csv_lines(header, rows, metadata))
 

@@ -267,6 +267,38 @@ def test_fidelity_csv_bytes_are_pinned(args, threads, digest):
     assert _fidelity_csv_digest(args, threads) == digest
 
 
+# D = 4, two masks, so the CSV metadata carries mask_positions 0.125;0.5
+PINNED_PROGRAM = {"dim": 4, "steps": [
+    {"propagate": {"num": 1, "den": 8}},
+    {"phase_mask": [0.0, 1.25, -2.5, 0.75]},
+    {"propagate": {"num": 3, "den": 8}},
+    {"phase_mask": [-0.5, 2.0, 0.25, -1.5]},
+    {"propagate": {"num": 2, "den": 8}},
+]}
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        ([], "f41a5841aa6b7fb70f9437f989269f3eaa5c54ab98cd838794bbd6b6fa782eb7"),
+        (["--z-steps", "129", "--x-steps", "256", "--truncation", "128"],
+         "18e0b169689e969bdb2a9b2088e85d57ddded1cf873e4f4f0446ab47dfd24191"),
+        (["--slit-ratio", "0.125", "--program", "program.json"],
+         "8cc0fd074f06fd51aac8b9a51e7e39a8064e38059f07b6d0f0d8e9eccc957f96"),
+    ],
+    ids=["default", "benchmark-size", "program"],
+)
+def test_carpet_csv_bytes_are_pinned(runner, tmp_path, args, digest):
+    (tmp_path / "program.json").write_text(json.dumps(PINNED_PROGRAM))
+    args = [str(tmp_path / arg) if arg == "program.json" else arg for arg in args]
+    csv_path = tmp_path / "carpet.csv"
+    result = runner.invoke(
+        main, ["carpet", *args, "--out", str(tmp_path / "carpet.pgm"), "--csv", str(csv_path)]
+    )
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------

@@ -306,6 +306,16 @@ def test_normalizing_tiny_samples_scales_past_the_underflow():
         SampledField(np.zeros(64), extent=1.0, wavelength=0.01).normalized()
 
 
+
+def test_normalizing_a_subnormal_norm_does_not_overflow():
+    # complex division multiplies by 1 / norm, which is inf for these norms
+    for tiny in (1e-310, 5e-324):
+        field = SampledField(np.full(64, tiny), extent=1.0, wavelength=0.01)
+        assert field.norm() == tiny
+        normalized = field.normalized()
+        assert np.abs(normalized.amplitudes - 1.0).max() < 1e-15
+        assert abs(normalized.norm() - 1.0) < 1e-15
+
 def _dense_angular_spectrum(field: SampledField, z: float) -> np.ndarray:
     """propagate(z) over all n bins, with the evanescent ones masked out."""
     n = len(field.amplitudes)

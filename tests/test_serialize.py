@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from talbotsim import (
+    GratingSpec,
     OpticalProgram,
     PhaseMask,
     Propagate,
@@ -23,12 +25,14 @@ from talbotsim import (
     postselected_to_json,
     program_from_json,
     program_to_json,
+    render_carpet,
     talbot_unitary,
     write_csv,
     write_json,
     write_pgm,
 )
-from talbotsim.serialize import _postselected_fields
+from talbotsim.serialize import _CSV_BLOCK_ROWS as BLOCK
+from talbotsim.serialize import _postselected_fields, _render
 
 
 def test_matrix_round_trip_exact():
@@ -356,6 +360,106 @@ def test_write_csv_bytes_equal_format_csv(tmp_path, metadata):
     path = tmp_path / "table.csv"
     write_csv(path, header, iter(rows), metadata)
     assert path.read_bytes() == format_csv(header, rows, metadata).encode("ascii")
+
+
+def _per_cell_csv(header, rows, metadata) -> str:
+    """The CSV text rendered cell by cell, the writer's reference."""
+    lines = [f"# {key}: {_render(value)}\n" for key, value in (metadata or {}).items()]
+    lines.append(",".join(header) + "\n")
+    lines.extend(",".join(_render(value) for value in row) + "\n" for row in rows)
+    return "".join(lines)
+
+
+CSV_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, float("nan"), float("inf"),
+              float("-inf"), 0.1, 1e-7, 2.5]
+csv_floats = st.one_of(st.sampled_from(CSV_FLOATS), st.floats())
+# each kind renders its own way; a column of Python floats takes the writer's
+# distinct-value path, and "float|np.float64" must not
+CSV_CELLS = {
+    "float": csv_floats,
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "np.float64": csv_floats.map(np.float64),
+    "np.int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "np.bool_": st.booleans().map(np.bool_),
+    "str": st.text(st.characters(max_codepoint=127)),
+    "float|np.float64": st.one_of(csv_floats, csv_floats.map(np.float64)),
+}
+
+
+def _pooled_rows(pools, n_rows: int, rng) -> list:
+    # rows drawn from a few values per column, so a column repeats its cells
+    # as a carpet's coordinates do, and 0.0 and -0.0 meet in one block
+    return [tuple(rng.choice(pool) for pool in pools) for _ in range(n_rows)]
+
+
+@st.composite
+def csv_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_CELLS)), min_size=1, max_size=4))
+    pools = [draw(st.lists(CSV_CELLS[kind], min_size=1, max_size=8)) for kind in kinds]
+    n_rows = draw(st.one_of(st.integers(0, 8), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1])))
+    rows = _pooled_rows(pools, n_rows, draw(st.randoms(use_true_random=False)))
+    metadata = draw(st.one_of(st.none(), st.fixed_dictionaries(
+        {"slit_ratio": csv_floats, "flag": st.booleans(), "note": CSV_CELLS["str"]})))
+    return [f"c{index}" for index in range(len(kinds))], rows, metadata
+
+
+# a Python-float column with both zeros, a column mixing float and
+# np.float64, and a column of other kinds, across block boundaries
+EDGE_POOLS = [[0.0, -0.0, 0.5], [np.float64(-0.0), 0.0, 5e-324], [1, True, "x"]]
+
+
+def _edge_table(n_rows: int, columns: int = 3, metadata=None):
+    header = ["a", "b", "c"][:columns]
+    return header, _pooled_rows(EDGE_POOLS[:columns], n_rows, random.Random(n_rows)), metadata
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=csv_tables())
+@example(table=_edge_table(0))
+@example(table=_edge_table(BLOCK + 1, columns=1))
+@example(table=_edge_table(BLOCK - 1, metadata={"f": -0.0}))
+@example(table=_edge_table(BLOCK))
+@example(table=_edge_table(BLOCK + 1))
+def test_csv_writers_equal_per_cell_rendering(tmp_path_factory, table):
+    header, rows, metadata = table
+    expected = _per_cell_csv(header, rows, metadata)
+    assert format_csv(header, rows, metadata) == expected
+    stream = io.StringIO()
+    write_csv(stream, header, iter(rows), metadata)
+    assert stream.getvalue() == expected
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    write_csv(path, header, (row for row in rows), metadata)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_csv_rows_must_match_the_header():
+    with pytest.raises(ValueError, match="header's 2 cells"):
+        format_csv(["a", "b"], [[1.0, 2.0]] * BLOCK + [[3.0]])
+    with pytest.raises(ValueError, match="header's 1 cells"):
+        format_csv(["a"], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="at least one column"):
+        format_csv([], [[]])
+
+
+def test_write_csv_memory_is_one_block(tmp_path):
+    # the rows the carpet command writes at the benchmark size: 33,024 lines
+    image = render_carpet(GratingSpec(slit_width=0.5, mode_truncation=128), (0.0, 1.0), 129, 256)
+    x = image.x.tolist()
+    rows = (
+        (zeta, xj, value)
+        for zeta, row in zip(image.zeta.tolist(), image.intensity)
+        for xj, value in zip(x, row.tolist())
+    )
+    path = tmp_path / "carpet.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ["zeta", "x", "intensity"], rows, {"slit_ratio": 0.5})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1_250_000
+    assert peak < 1_000_000, peak
 
 
 def test_program_validation_errors_carry_step_index():
