@@ -2,10 +2,10 @@
 
 A carpet samples |psi(x, zeta)|^2 on a rectangular grid, x across one
 grating period and zeta along the propagation axis in carpet periods
-(twice the Talbot length per unit).  Programs interleave phase masks;
-at each mask plane the field is projected onto the slit basis, the mask
-phases applied, and the field resynthesized, with the projection residual
-recorded so a mask placed away from a revival plane is visible.
+(twice the Talbot length per unit).  Programs interleave phase masks, and
+the field walks through them as in gate_crosscheck (propagation._walk): at
+each mask it is projected onto the slit basis, phased and resynthesized, the
+residual recorded so a mask placed away from a revival plane is visible.
 
 Rows are synthesized on the x-grid j / x_steps, where mode m is
 indistinguishable from FFT bin m mod x_steps: the paraxial phases of a
@@ -17,19 +17,17 @@ value of a column rendered once per block (serialize.write_csv).
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .grating import (
     _BLOCK_ENTRIES,
     GratingSpec,
-    ModeField,
     basis_wavefunction,
     grating_coefficients,
 )
-from .programs import OpticalProgram, Propagate
-from .propagation import _paraxial_phases, _project, _slit_basis, propagate_paraxial
+from .programs import OpticalProgram
+from .propagation import _paraxial_phases, _slit_basis, _walk
 
 __all__ = [
     "CarpetImage",
@@ -130,26 +128,9 @@ def render_program_carpet(
     The transverse period hosts D slits (program.dim); the input occupies
     slit `initial_level`.  Masks act at their cumulative positions.
     """
-    D = program.dim
-    basis = _slit_basis(spec, D)
-    start = basis_wavefunction(spec, D, initial_level).normalized()
-
-    segments = [(Fraction(0), start)]
-    positions: list[float] = []
-    residuals: list[float] = []
-    z = Fraction(0)
-    for step in program.steps:
-        if isinstance(step, Propagate):
-            z += step.distance
-            continue
-        z0, seg_field = segments[-1]
-        arrived = propagate_paraxial(seg_field, z - z0)
-        weights, residual, _ = _project(basis, arrived.coefficients)
-        residuals.append(residual)
-        positions.append(float(z))
-        masked = basis @ (weights * np.exp(1j * np.asarray(step.phases)))
-        segments.append((z, ModeField(masked, spec.mode_truncation)))
-
+    basis = _slit_basis(spec, program.dim)
+    start = basis_wavefunction(spec, program.dim, initial_level).normalized()
+    segments, residuals, _, _ = _walk(basis, program, start)
     total = program.total_distance
     if total == 0:
         raise ValueError("program has zero total propagation distance")
@@ -160,7 +141,7 @@ def render_program_carpet(
         intensity=rows,
         zeta=zeta_grid,
         x=x_grid,
-        mask_positions=tuple(positions),
+        mask_positions=tuple(s for s, _ in float_segments[1:]),
         mask_residuals=tuple(residuals),
     )
 

@@ -45,8 +45,8 @@ class SDBSSpec:
     reflection: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         t = np.asarray(self.transmission, dtype=complex)
         r = np.asarray(self.reflection, dtype=complex)
         if t.shape != (self.dim,) or r.shape != (self.dim,):

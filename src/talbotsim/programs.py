@@ -59,8 +59,8 @@ class OpticalProgram:
     steps: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "steps", tuple(self.steps))
         for index, step in enumerate(self.steps):
             if isinstance(step, PhaseMask):

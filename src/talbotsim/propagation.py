@@ -15,6 +15,7 @@ import numpy as np
 
 from .gates import talbot_cycle_length, talbot_unitary
 from .grating import GratingSpec, ModeField, basis_wavefunction
+from .programs import OpticalProgram, PhaseMask, Propagate
 
 __all__ = [
     "propagate_paraxial",
@@ -101,6 +102,27 @@ def _project(columns: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float
     return weights, residual, condition
 
 
+def _walk(basis: np.ndarray, program: OpticalProgram, start: ModeField):
+    """Walk `start` through `program`, one slit state per column of `basis`.
+
+    Each mask projects onto the slit states, phases and resynthesizes.  Returns
+    segments [(zeta_start, ModeField)], mask residuals, end weights, end residual.
+    """
+    segments, residuals = [(Fraction(0), start)], []
+    masks = [step for step in program.steps if isinstance(step, PhaseMask)]
+    for z, mask in zip(program.mask_positions(), masks):
+        z0, field = segments[-1]
+        arrived = propagate_paraxial(field, z - z0)
+        weights, residual, _ = _project(basis, arrived.coefficients)
+        residuals.append(residual)
+        masked = basis @ (weights * np.exp(1j * np.asarray(mask.phases)))
+        segments.append((z, ModeField(masked, start.truncation)))
+    z0, field = segments[-1]
+    arrived = propagate_paraxial(field, program.total_distance - z0)
+    weights, residual, _ = _project(basis, arrived.coefficients)
+    return segments, residuals, weights, residual
+
+
 @dataclass(frozen=True)
 class ReplicaDecomposition:
     """Least-squares weights of period/r translates in a propagated field.
@@ -182,13 +204,10 @@ def gate_crosscheck(
         spec = GratingSpec(slit_width=1.0 / (2 * D), mode_truncation=256)
     r = talbot_cycle_length(D)
     basis = _slit_basis(spec, D)
-    reconstructed = np.empty((D, D), dtype=complex)
-    max_residual = 0.0
-    for d in range(D):
-        start = ModeField(basis[:, d], spec.mode_truncation)
-        propagated = propagate_paraxial(start, Fraction(q, r)).coefficients
-        reconstructed[:, d], residual, _ = _project(basis, propagated)
-        max_residual = max(max_residual, residual)
+    program = OpticalProgram(D, (Propagate(Fraction(q % r, r)),))  # Propagate refuses q < 0
+    walks = [_walk(basis, program, ModeField(column, spec.mode_truncation)) for column in basis.T]
+    reconstructed = np.column_stack([weights for _, _, weights, _ in walks])
+    max_residual = max(residual for _, _, _, residual in walks)
     deviation = float(np.abs(reconstructed - talbot_unitary(D, q)).max())
     return CrosscheckResult(
         dim=D,

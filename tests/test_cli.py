@@ -285,8 +285,11 @@ PINNED_PROGRAM = {"dim": 4, "steps": [
          "18e0b169689e969bdb2a9b2088e85d57ddded1cf873e4f4f0446ab47dfd24191"),
         (["--slit-ratio", "0.125", "--program", "program.json"],
          "8cc0fd074f06fd51aac8b9a51e7e39a8064e38059f07b6d0f0d8e9eccc957f96"),
+        (["--slit-ratio", "0.125", "--program", "program.json", "--initial-level", "3",
+          "--z-steps", "129", "--x-steps", "256", "--truncation", "128"],
+         "945d5b5b2d8517dc8409eefb428b795922de5645b0b5c6c2ec69a54c96b5ee90"),
     ],
-    ids=["default", "benchmark-size", "program"],
+    ids=["default", "benchmark-size", "program", "program-level-3-benchmark-size"],
 )
 def test_carpet_csv_bytes_are_pinned(runner, tmp_path, args, digest):
     (tmp_path / "program.json").write_text(json.dumps(PINNED_PROGRAM))

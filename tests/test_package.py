@@ -93,3 +93,27 @@ def test_every_private_module_name_is_used_elsewhere():
         if not any(name in names for other, names in enumerate(references) if other != index)
     ]
     assert not dead, f"private names nothing else uses: {dead}"
+
+
+def test_private_names_crossing_module_boundaries_are_the_listed_few():
+    """Every private name one module imports from another is listed here, so
+    a new cross-module private import has to be a deliberate edit."""
+    crossing = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = sorted(
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("talbotsim"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        )
+        if names:
+            crossing[path.stem] = names
+    assert crossing == {
+        "carpet": ["_BLOCK_ENTRIES", "_paraxial_phases", "_slit_basis", "_walk"],
+        "fidelity": ["_angular_spectrum"],
+        "cli": ["_matrix_fields", "_postselected_fields"],
+        "verify": ["_cz_by_state_evolution"],
+    }

@@ -203,6 +203,9 @@ def test_sdbs_spec_validation():
         SDBSSpec(dim=3, transmission=np.zeros(2), reflection=np.ones(2))
     with pytest.raises(ValueError, match="positive"):
         SDBSSpec(dim=0, transmission=np.zeros(0), reflection=np.zeros(0))
+    for dim in (2.0, True):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            SDBSSpec(dim=dim, transmission=np.ones(int(dim)), reflection=np.zeros(int(dim)))
     with pytest.raises(ValueError, match="finite"):
         SDBSSpec(dim=1, transmission=np.array([np.nan]), reflection=np.array([0.0]))
 

@@ -115,6 +115,14 @@ def test_prepare_bloch_state_amplitude_and_phase_law(theta, phi):
     assert abs(wrapped) < 1e-10
 
 
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, "2"])
+def test_program_dim_must_be_an_integer(dim):
+    """A float or bool dim used to pass here and fail later in compile_program
+    with a TypeError."""
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        OpticalProgram(dim=dim, steps=(Propagate(Fraction(1, 4)),))
+
+
 def test_prepare_bloch_state_poles():
     _, north = prepare_bloch_state(0.0, 0.7)
     assert abs(abs(north[0]) - 1.0) < 1e-12

@@ -13,20 +13,29 @@ from hypothesis import strategies as st
 from talbotsim import (
     GratingSpec,
     ModeField,
+    OpticalProgram,
+    PhaseMask,
+    Propagate,
     SampledField,
+    compile_program,
     gate_crosscheck,
     gauss_coefficients,
     grating_coefficients,
+    hadamard_program,
+    prepare_bloch_state,
     propagate_angular_spectrum,
     propagate_paraxial,
     replica_decompose,
     synthesize_gaussian_comb,
+    talbot_cycle_length,
     talbot_unitary,
 )
 from talbotsim.propagation import (
     _MAX_EXACT_DENOMINATOR,
     _angular_spectrum,
     _paraxial_phases,
+    _slit_basis,
+    _walk,
 )
 
 COPRIME = [(q, r) for r in range(1, 17) for q in range(1, r + 1) if gcd(q, r) == 1]
@@ -196,6 +205,54 @@ def test_gate_crosscheck_multiple_steps():
         result = gate_crosscheck(D, q=q)
         assert result.certified, (D, q)
         assert result.steps == q
+    # the walk propagates by q mod r (a Propagate distance cannot be
+    # negative); a q outside [0, r) must give the same bits
+    for D in (2, 3, 4, 5):
+        r = talbot_cycle_length(D)
+        for q in (-1, r, 2 * r + 1):
+            result, reduced = gate_crosscheck(D, q), gate_crosscheck(D, q % r)
+            assert result.steps == q
+            assert result.max_deviation == reduced.max_deviation, (D, q)
+            assert result.max_projection_residual == reduced.max_projection_residual, (D, q)
+
+
+def _random_program(D: int, seed: int) -> OpticalProgram:
+    rng = np.random.default_rng(seed)
+    r = talbot_cycle_length(D)
+    steps = []
+    for _ in range(4):
+        steps.append(Propagate(Fraction(int(rng.integers(1, r)), r)))
+        steps.append(PhaseMask(tuple(rng.uniform(-np.pi, np.pi, D))))
+    steps.append(Propagate(Fraction(int(rng.integers(1, r)), r)))
+    return OpticalProgram(D, tuple(steps))
+
+
+@pytest.mark.parametrize(
+    "program,spec",
+    [
+        (hadamard_program(), GratingSpec(slit_width=0.25, mode_truncation=64)),
+        (prepare_bloch_state(0.8, 1.1)[0], GratingSpec(slit_width=0.25, mode_truncation=64)),
+        *[
+            (_random_program(D, seed=D), GratingSpec(slit_width=1.0 / (2 * D), mode_truncation=256))
+            for D in (3, 4, 5)
+        ],
+    ],
+    ids=["hadamard", "bloch", "random-D3", "random-D4", "random-D5"],
+)
+def test_walk_reproduces_the_compiled_program(program, spec):
+    """Every slit column walked through the program's masks matches
+    compile_program entry by entry, global phase included (none is fitted),
+    and every mask and end projection lands on the slit states."""
+    basis = _slit_basis(spec, program.dim)
+    compiled = compile_program(program)
+    for d, column in enumerate(basis.T):
+        segments, residuals, weights, residual = _walk(
+            basis, program, ModeField(column, spec.mode_truncation)
+        )
+        assert [z for z, _ in segments[1:]] == program.mask_positions()
+        assert len(residuals) == len(program.mask_positions())
+        assert max(residuals) <= 1e-12 and residual <= 1e-12, d
+        assert np.abs(weights - compiled[:, d]).max() <= 1e-12, d
 
 
 def test_sampled_field_validation():
