@@ -41,8 +41,8 @@ from .measure import measure_probabilities
 from .photonpair import build_cz, ideal_cz_matrix, interaction_phase_signature
 from .programs import PhaseMask, prepare_bloch_state
 from .serialize import (
-    _matrix_fields,
-    _postselected_fields,
+    matrix_to_json,
+    postselected_to_json,
     program_from_json,
     program_to_json,
     write_csv,
@@ -102,7 +102,7 @@ main.command_class = _LibraryCommand
 def gate(dim: int, steps: int, out: str | None) -> None:
     """Print or save the q-step Talbot unitary."""
     payload = {"kind": "talbot_unitary", "steps": steps}
-    payload.update(_matrix_fields(talbot_unitary(dim, steps)))
+    payload.update(matrix_to_json(talbot_unitary(dim, steps)))
     _emit(out, write_json, payload)
 
 
@@ -289,7 +289,7 @@ def czgate(dim: int, control: int, out: str | None) -> None:
     moduli = np.abs(np.diagonal(op.matrix))
     chi = interaction_phase_signature(op.matrix)
     chi_ideal = interaction_phase_signature(ideal_cz_matrix(dim, control))
-    payload = _postselected_fields(op)
+    payload = postselected_to_json(op)
     payload["modulus_range"] = [float(moduli.min()), float(moduli.max())]
     payload["success_probability_range"] = [
         float(op.success_probabilities.min()),

@@ -15,17 +15,11 @@ from fractions import Fraction
 import numpy as np
 
 from .grating import GratingSpec, ModeField, grating_coefficients
-from .propagation import (
-    PropagationReport,
-    SampledField,
-    _angular_spectrum,
-    propagate_paraxial,
-)
+from .propagation import SampledField, _angular_spectrum, propagate_paraxial
 
 __all__ = [
     "FidelityRow",
     "synthesize_gaussian_comb",
-    "revival_fidelity",
     "fidelity_sweep",
 ]
 
@@ -99,12 +93,6 @@ def _revival_fidelities(field: SampledField, m_list):
         overlap = np.vdot(field.amplitudes, propagated.amplitudes) * field.dx
         del propagated
         yield m, float(abs(overlap) ** 2), report
-
-
-def revival_fidelity(field: SampledField, m: int) -> tuple[float, PropagationReport]:
-    """Fidelity after m carpet periods (z = 2 m / wavelength in period units)."""
-    [(_, fidelity, report)] = _revival_fidelities(field, (m,))
-    return fidelity, report
 
 
 def _periodic_control(comb: ModeField, m: int) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import gauss_coefficients
+from .gauss import _integer, gauss_coefficients
 
 __all__ = [
     "pauli_shift",
@@ -22,7 +22,6 @@ __all__ = [
     "talbot_unitary",
     "circulant",
     "diagonal_gate",
-    "clifford_phases",
     "qft_matrix",
     "qft_decomposition_even",
     "qft_decomposition_odd",
@@ -39,6 +38,7 @@ def pauli_shift(D: int, power: int = 1) -> np.ndarray:
 
 def talbot_cycle_length(D: int) -> int:
     """Order of the canonical Talbot step: 2D for even D, D for odd D."""
+    D = _integer(D, "dimension")
     if D < 1:
         raise ValueError(f"dimension must be positive, got {D}")
     return 2 * D if D % 2 == 0 else D
@@ -72,6 +72,7 @@ def talbot_unitary(D: int, q: int = 1) -> np.ndarray:
     round-off asymmetry between entries.  The result is circulant by
     construction: column j equals column 0 rolled by j, bitwise.
     """
+    D, q = _integer(D, "dimension"), _integer(q, "steps")
     r = talbot_cycle_length(D)
     step = circulant(talbot_step_coefficients(D))
     column = np.zeros(D, dtype=complex)
@@ -87,12 +88,6 @@ def diagonal_gate(phases: np.ndarray) -> np.ndarray:
     if phases.ndim != 1:
         raise ValueError(f"phase vector must be 1-d, got shape {phases.shape}")
     return np.diag(np.exp(1j * phases))
-
-
-def clifford_phases(D: int) -> np.ndarray:
-    """Phase mask pi d (d - 1) / D whose diagonal gate normalizes the shift group."""
-    d = np.arange(D)
-    return np.pi * d * (d - 1) / D
 
 
 def qft_matrix(D: int) -> np.ndarray:
@@ -147,6 +142,7 @@ def qft_decomposition_odd(D: int) -> tuple[np.ndarray, np.ndarray, Decomposition
     D = 3 mod 4; folding it into `post` makes the sandwich equal F exactly,
     like the even case, and the residual is taken with no phase fitted.
     """
+    D = _integer(D, "dimension")
     if D < 1 or D % 2 == 0:
         raise ValueError(f"D must be odd and >= 1, got {D}")
     h = (D + 1) // 2

@@ -13,7 +13,22 @@ from math import gcd
 
 import numpy as np
 
-__all__ = ["gauss_coefficients", "jacobi_symbol"]
+__all__ = ["gauss_coefficients"]
+
+
+def _integer(value, name: str, positive: bool = False) -> int:
+    """value as a Python int, so pow(q, -1, r) takes a numpy integer too.
+
+    The package's one integer rule: bool and every type but int and
+    np.integer raise ValueError (int() would truncate 1.5 and read True as
+    1), and so does a value below 1 when `positive`.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (
+        positive and value < 1
+    ):
+        kind = "a positive integer" if positive else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def gauss_coefficients(q: int, r: int) -> np.ndarray:
@@ -41,6 +56,7 @@ def gauss_coefficients(q: int, r: int) -> np.ndarray:
 
     Requires r >= 1 and gcd(q, r) = 1; reduce the fraction q/r first.
     """
+    q, r = _integer(q, "q"), _integer(r, "r")
     if r < 1:
         raise ValueError(f"denominator must be positive, got r={r}")
     if gcd(q, r) != 1:
@@ -60,7 +76,7 @@ def gauss_coefficients(q: int, r: int) -> np.ndarray:
     k = j[: r // 2]
     exponent = (k * k % r) * pow(q, -1, r) % r
     unit = np.exp(-1j * np.pi / 4) if q % 4 == 1 else np.exp(1j * np.pi / 4)
-    if jacobi_symbol(r, q) < 0:
+    if _jacobi_symbol(r, q) < 0:
         unit = -unit
     values[::2] = unit * np.exp(2j * np.pi * exponent / r) / np.sqrt(r // 2)
     return values
@@ -69,7 +85,7 @@ def gauss_coefficients(q: int, r: int) -> np.ndarray:
 def _odd_modulus_weights(q: int, r: int, j: np.ndarray) -> np.ndarray:
     """b_j for odd r and 0 <= q, j < r: the odd-r case of gauss_coefficients."""
     prefactor = (1.0 if r % 4 == 1 else -1j) / np.sqrt(r)
-    if jacobi_symbol(q, r) < 0:
+    if _jacobi_symbol(q, r) < 0:
         prefactor = -prefactor
     # Integer exponents mod r keep each phase exact to one ulp.  The float
     # operations here and in the r = 0 mod 4 branch run in the order of the
@@ -78,7 +94,7 @@ def _odd_modulus_weights(q: int, r: int, j: np.ndarray) -> np.ndarray:
     return prefactor * np.exp(2j * np.pi * exponent / r)
 
 
-def jacobi_symbol(a: int, n: int) -> int:
+def _jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a|n) for odd positive n, by quadratic reciprocity."""
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive, got {n}")

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gauss import _integer
+
 __all__ = [
     "GratingSpec",
     "ModeField",
@@ -22,12 +24,6 @@ __all__ = [
 # batched up to this size, so temporaries stay bounded however many modes a
 # field carries.
 _BLOCK_ENTRIES = 1 << 18
-
-
-def _require_integer(value, name: str) -> None:
-    """Mode counts index the modes -M..M, so only integers make sense."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +40,10 @@ class GratingSpec:
     def __post_init__(self):
         if not 0 < self.slit_width <= 1:
             raise ValueError(f"slit_width must be in (0, 1], got {self.slit_width}")
-        _require_integer(self.mode_truncation, "mode_truncation")
+        # mode counts index the modes -M..M, so only integers make sense
+        object.__setattr__(
+            self, "mode_truncation", _integer(self.mode_truncation, "mode_truncation")
+        )
         if self.mode_truncation < 1:
             raise ValueError(
                 f"mode_truncation must be >= 1, got {self.mode_truncation}"
@@ -59,7 +58,7 @@ class ModeField:
     truncation: int
 
     def __post_init__(self):
-        _require_integer(self.truncation, "truncation")
+        object.__setattr__(self, "truncation", _integer(self.truncation, "truncation"))
         coeffs = np.asarray(self.coefficients, dtype=complex)
         if coeffs.shape != (2 * self.truncation + 1,):
             raise ValueError(

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-__all__ = ["measure_probabilities", "sample_counts"]
+__all__ = ["measure_probabilities"]
 
 
 def measure_probabilities(state: np.ndarray) -> np.ndarray:
@@ -15,16 +15,3 @@ def measure_probabilities(state: np.ndarray) -> np.ndarray:
         raise ValueError(f"state norm {norm!r} deviates from 1 by more than 1e-09")
     return np.abs(state) ** 2
 
-
-def sample_counts(state: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Multinomial counts of `shots` slit-basis measurements.
-
-    Seeded PCG64 stream; identical (state, shots, seed) always reproduce
-    identical counts.
-    """
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
-    p = measure_probabilities(state)
-    p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, p)

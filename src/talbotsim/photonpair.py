@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gauss import _integer
+
 __all__ = [
     "SDBSSpec",
     "control_splitter",
@@ -45,8 +47,7 @@ class SDBSSpec:
     reflection: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", _integer(self.dim, "dimension", positive=True))
         t = np.asarray(self.transmission, dtype=complex)
         r = np.asarray(self.reflection, dtype=complex)
         if t.shape != (self.dim,) or r.shape != (self.dim,):
@@ -179,6 +180,7 @@ def build_cz(D: int, k: int) -> PostSelectedOperator:
     one-state-at-a-time evolution of `_cz_by_state_evolution` puts them, so
     the entries carry the same bits as that route (signed zeros included).
     """
+    D, k = _integer(D, "dimension"), _integer(k, "control level")
     if not 0 <= k < D:
         raise ValueError(f"control level must satisfy 0 <= k < {D}, got {k}")
     swap_levels = tuple(d for d in range(D) if d != k)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gates import diagonal_gate, talbot_cycle_length, talbot_unitary
+from .gauss import _integer
 
 __all__ = [
     "Propagate",
@@ -59,8 +60,7 @@ class OpticalProgram:
     steps: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", _integer(self.dim, "dimension", positive=True))
         object.__setattr__(self, "steps", tuple(self.steps))
         for index, step in enumerate(self.steps):
             if isinstance(step, PhaseMask):

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gates import talbot_cycle_length, talbot_unitary
+from .gauss import _integer
 from .grating import GratingSpec, ModeField, basis_wavefunction
 from .programs import OpticalProgram, PhaseMask, Propagate
 
@@ -200,6 +201,7 @@ def gate_crosscheck(
     expansion of the physical field.  Certified means every entry agrees
     within 1e-6 and every projection residual stays within 1e-4.
     """
+    D, q = _integer(D, "dimension"), _integer(q, "steps")
     if spec is None:
         spec = GratingSpec(slit_width=1.0 / (2 * D), mode_truncation=256)
     r = talbot_cycle_length(D)

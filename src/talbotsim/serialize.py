@@ -2,7 +2,10 @@
 
 Every writer produces byte-identical output for identical inputs: floats
 are rendered by repr (shortest round-trip form), key order is fixed, and
-no timestamps or environment details are embedded.  JSON and CSV go to a
+no timestamps or environment details are embedded.  A JSON payload holds
+each matrix as a square ndarray (matrix_to_json, postselected_to_json);
+write_json writes json.dumps(..., indent=2) of the payload with each
+matrix spelled out as rows of {"re", "im"} cells.  JSON and CSV go to a
 path or a text stream a piece at a time (a matrix row, a block of CSV
 rows), so no writer holds the whole text in memory.  A matrix row reuses
 the cell texts of an earlier row for entries with the same bytes, so a
@@ -14,10 +17,11 @@ rendered again on every row.
 
 import json
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
+from .gauss import _integer
 from .programs import OpticalProgram, PhaseMask, Propagate
 
 __all__ = [
@@ -26,16 +30,10 @@ __all__ = [
     "program_to_json",
     "program_from_json",
     "postselected_to_json",
-    "dumps",
     "write_json",
     "write_pgm",
-    "format_csv",
     "write_csv",
 ]
-
-
-def _complex_entry(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
 
 
 def _square(matrix: np.ndarray) -> np.ndarray:
@@ -45,35 +43,32 @@ def _square(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _matrix_fields(matrix: np.ndarray) -> dict:
-    # matrix_to_json's fields with the entries left as the ndarray, which
-    # dumps and write_json render row by row: the form the CLI streams.
+def matrix_to_json(matrix: np.ndarray) -> dict:
+    """{"dim": D, "entries": the complex ndarray}; write_json writes [[{"re", "im"}]] rows."""
     matrix = _square(matrix)
     return {"dim": int(matrix.shape[0]), "entries": matrix}
 
 
-def matrix_to_json(matrix: np.ndarray) -> dict:
-    """{"dim": D, "entries": row-major [[{"re", "im"}]]} for a square matrix."""
-    payload = _matrix_fields(matrix)
-    payload["entries"] = [[_complex_entry(z) for z in row] for row in payload["entries"]]
-    return payload
-
-
-def _integer(value, name: str) -> int:
-    # int() would truncate 1.5 to 1 and read True as 1
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _json_integer(value, name: str) -> int:
+    # JSON has one number type, so an integral float such as 2.0 reads as 2
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _integer(value, name)
 
 
 def matrix_from_json(payload: dict) -> np.ndarray:
-    dim = _integer(payload["dim"], "dim")
-    entries = payload["entries"]
-    if len(entries) != dim or any(len(row) != dim for row in entries):
-        raise ValueError(f"entries do not form a {dim}x{dim} matrix")
-    return np.array(
-        [[complex(cell["re"], cell["im"]) for cell in row] for row in entries]
-    )
+    """Matrix of parsed matrix_to_json JSON text; a malformed payload raises ValueError."""
+    try:
+        dim = _json_integer(payload["dim"], "dim")
+        if dim < 0:
+            raise ValueError(f"dim must be >= 0, got {dim}")
+        entries = payload["entries"]
+        if len(entries) != dim or any(len(row) != dim for row in entries):
+            raise ValueError(f"entries do not form a {dim}x{dim} matrix")
+        cells = [complex(cell["re"], cell["im"]) for row in entries for cell in row]
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"malformed matrix: {type(error).__name__}: {error}") from error
+    return np.array(cells, dtype=complex).reshape(dim, dim)
 
 
 def program_to_json(program: OpticalProgram) -> dict:
@@ -99,23 +94,23 @@ def program_from_json(payload: dict) -> OpticalProgram:
         steps = []
         for index, entry in enumerate(payload["steps"]):
             if "propagate" in entry:
-                num, den = (_integer(entry["propagate"][key], key) for key in ("num", "den"))
+                num, den = (_json_integer(entry["propagate"][key], key) for key in ("num", "den"))
                 steps.append(Propagate(Fraction(num, den)))
             elif "phase_mask" in entry:
                 steps.append(PhaseMask(tuple(float(p) for p in entry["phase_mask"])))
             else:
                 raise ValueError(f"step {index}: unknown step kind {sorted(entry)}")
-        return OpticalProgram(dim=_integer(payload["dim"], "dim"), steps=tuple(steps))
+        return OpticalProgram(dim=_json_integer(payload["dim"], "dim"), steps=tuple(steps))
     except (KeyError, TypeError, ArithmeticError) as error:
         raise ValueError(f"malformed program: {type(error).__name__}: {error}") from error
 
 
-def _postselected_fields(op) -> dict:
-    # postselected_to_json's fields, its matrix in the _matrix_fields form
+def postselected_to_json(op) -> dict:
+    """Serialized PostSelectedOperator, corrections included, its matrix as matrix_to_json's."""
     return {
         "dim": op.dim,
         "control_level": op.control_level,
-        "matrix": _matrix_fields(op.matrix),
+        "matrix": matrix_to_json(op.matrix),
         "success_probabilities": [float(p) for p in op.success_probabilities],
         "path_swap_applied": op.path_swap_applied,
         "path_swap_levels": [int(d) for d in op.path_swap_levels],
@@ -127,22 +122,9 @@ def _postselected_fields(op) -> dict:
     }
 
 
-def postselected_to_json(op) -> dict:
-    """Serialized PostSelectedOperator, corrections included."""
-    payload = _postselected_fields(op)
-    payload["matrix"] = matrix_to_json(op.matrix)
-    return payload
-
-
-def _json_chunks(payload):
-    """The text of dumps(payload) in pieces, at most one matrix row per piece."""
-    yield from _json_pieces(payload, 0)
-    yield "\n"
-
-
 def _json_pieces(value, level: int):
-    # json.dumps(value, indent=2) at nesting `level`, a square ndarray taking the
-    # place of the list of {"re", "im"} rows that matrix_to_json would build.
+    # json.dumps(value, indent=2) at nesting `level`, a square ndarray written
+    # as its list of rows of {"re", "im"} cells.
     outer = "\n" + "  " * level
     inner = outer + "  "
     if isinstance(value, np.ndarray):
@@ -209,22 +191,17 @@ def _matrix_pieces(matrix: np.ndarray, outer: str):
     yield outer + "]"
 
 
-def dumps(payload: dict) -> str:
-    """Canonical JSON text: two-space indent, insertion key order, newline end.
-
-    Equal to json.dumps(payload, indent=2) + "\n" where each square ndarray in
-    the payload is replaced by its matrix_to_json "entries" list.
-    """
-    return "".join(_json_chunks(payload))
-
-
 def write_json(target, payload: dict) -> None:
-    """Write dumps(payload) to `target`, a path or a text stream, piece by piece.
+    """Write `payload` as canonical JSON to `target`, a path or a text stream.
 
-    The bytes equal dumps's, but neither the whole text nor a dict per
-    matrix entry is ever built: memory is bounded by one matrix row.
+    The bytes are json.dumps(payload, indent=2) + "\n" (two-space indent,
+    insertion key order, keys str) where each square ndarray in the payload
+    is written as its list of rows of {"re", "im"} cells, each float by
+    repr.  The text goes out piece by piece, and neither the whole
+    text nor a dict per matrix entry is ever built: memory is bounded by one
+    matrix row.
     """
-    _write_chunks(target, _json_chunks(payload))
+    _write_chunks(target, chain(_json_pieces(payload, 0), ("\n",)))
 
 
 def write_pgm(path, intensity: np.ndarray) -> None:
@@ -279,23 +256,15 @@ def _column_texts(column: tuple) -> list:
     return list(map(texts.__getitem__, inverse.tolist()))
 
 
-def format_csv(header: list, rows, metadata: dict | None = None) -> str:
-    """CSV text with optional '# key: value' metadata lines before the header.
-
-    Floats are rendered by repr so a reader recovers them exactly; other
-    values go through str.  Every row must have as many cells as the header.
-    Rows are rendered in blocks, column by column, each distinct float of a
-    column once per block.
-    """
-    return "".join(_csv_lines(header, rows, metadata))
-
-
 def write_csv(target, header: list, rows, metadata: dict | None = None) -> None:
-    """Write format_csv(header, rows, metadata) to `target`, a path or a text stream.
+    """Write a CSV table to `target`, a path or a text stream.
 
-    The bytes equal format_csv's, but the text goes out one block of rows at
-    a time and is never held whole in memory, so `rows` can be a generator
-    over a large table.
+    Optional '# key: value' metadata lines come before the header.  Floats
+    are rendered by repr so a reader recovers them exactly, bools as true
+    and false, other values through str; every row must have as many cells
+    as the header.  Rows are rendered in blocks, column by column, each
+    distinct float of a column once per block, and the text goes out one
+    block at a time, so `rows` can be a generator over a large table.
     """
     _write_chunks(target, _csv_lines(header, rows, metadata))
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from talbotsim import (
     circulant,
-    clifford_phases,
     diagonal_gate,
     pauli_shift,
     qft_decomposition_even,
@@ -166,18 +165,6 @@ def test_diagonal_gate_and_two_pi_shift():
         diagonal_gate(np.zeros((2, 2)))
 
 
-def test_clifford_phases_formula_and_normalizer():
-    for D in (3, 5, 7, 9):
-        omega = clifford_phases(D)
-        d = np.arange(D)
-        assert np.abs(omega - np.pi * d * (d - 1) / D).max() == 0.0
-        V = diagonal_gate(omega)
-        X = pauli_shift(D)
-        clock = np.diag(np.exp(2j * np.pi * d / D))
-        # conjugating the shift appends one clock layer (odd D exactly)
-        assert np.abs(V @ X @ V.conj().T - X @ clock).max() < 1e-12
-
-
 def test_qft_matrix_properties():
     for D in (2, 3, 4, 5, 8):
         F = qft_matrix(D)
@@ -246,3 +233,27 @@ def test_dimension_validation():
         qft_decomposition_even(5)
     with pytest.raises(ValueError):
         qft_decomposition_odd(6)
+
+
+def test_numpy_integers_are_dimensions_and_steps():
+    """A numpy integer used to pass the checks and fail in gauss.py's
+    pow(q, -1, r) with a TypeError."""
+    assert np.array_equal(talbot_unitary(np.int64(7), np.int64(3)), talbot_unitary(7, 3))
+    assert np.array_equal(talbot_unitary(np.int32(4), 5), talbot_unitary(4, 5))
+    assert talbot_cycle_length(np.int64(6)) == 12
+    _, _, report = qft_decomposition_odd(np.int64(5))
+    assert type(report.dim) is int
+    assert report.residual < 1e-12
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        talbot_unitary(3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "dim", [3.0, True, np.float64(3.0), np.bool_(True), "3"],
+    ids=["float", "bool", "np.float64", "np.bool_", "str"],
+)
+def test_non_integer_dimension_is_a_value_error(dim):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        talbot_unitary(dim, 1)
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        talbot_cycle_length(dim)

@@ -177,6 +177,11 @@ def test_mode_counts_must_be_integers(bad):
     assert ModeField(np.zeros(7), np.int64(3)).truncation == 3
 
 
+def test_mode_counts_are_stored_as_ints():
+    assert type(GratingSpec(mode_truncation=np.int64(3)).mode_truncation) is int
+    assert type(ModeField(np.zeros(7), np.int64(3)).truncation) is int
+
+
 @pytest.mark.parametrize("D", [2, 3, 4, 5])
 @pytest.mark.parametrize("a", [0.15, 1.0 / 3.0, 0.5, 0.6, 0.75, 0.9])
 def test_mean_orthogonality_matches_grid_oracle(D, a):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from talbotsim import measure_probabilities, sample_counts, talbot_unitary
+from talbotsim import measure_probabilities, talbot_unitary
 
 
 def test_probabilities_of_quarter_step_on_slit_zero():
@@ -25,26 +25,3 @@ def test_unnormalized_rejected():
     with pytest.raises(ValueError, match="vector"):
         measure_probabilities(np.eye(2))
 
-
-def test_sampling_is_reproducible_and_seed_sensitive():
-    state = talbot_unitary(3, 1)[:, 0]
-    a = sample_counts(state, shots=10_000, seed=7)
-    b = sample_counts(state, shots=10_000, seed=7)
-    c = sample_counts(state, shots=10_000, seed=8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert a.sum() == 10_000
-
-
-def test_sampling_matches_probabilities_within_three_sigma():
-    state = talbot_unitary(4, 1)[:, 0]
-    p = measure_probabilities(state)
-    shots = 100_000
-    counts = sample_counts(state, shots=shots, seed=123)
-    sigma = np.sqrt(shots * p * (1 - p))
-    assert np.all(np.abs(counts - shots * p) < 3.5 * sigma + 1)
-
-
-def test_negative_shots_rejected():
-    with pytest.raises(ValueError):
-        sample_counts(np.array([1.0, 0.0]), shots=-1, seed=0)

@@ -123,6 +123,14 @@ def test_program_dim_must_be_an_integer(dim):
         OpticalProgram(dim=dim, steps=(Propagate(Fraction(1, 4)),))
 
 
+def test_program_dim_is_stored_as_an_int():
+    """A numpy dim compiled by way of gauss.py's pow(q, -1, r), which
+    refused it with a TypeError."""
+    program = OpticalProgram(np.int64(2), (Propagate(Fraction(1, 4)),))
+    assert type(program.dim) is int
+    assert np.array_equal(compile_program(program), talbot_unitary(2, 1))
+
+
 def test_prepare_bloch_state_poles():
     _, north = prepare_bloch_state(0.0, 0.7)
     assert abs(abs(north[0]) - 1.0) < 1e-12

@@ -162,6 +162,14 @@ def test_gate_crosscheck_default(D):
     assert result.max_projection_residual < 1e-6
 
 
+def test_gate_crosscheck_takes_numpy_integers():
+    result = gate_crosscheck(np.int64(3), np.int64(2))
+    assert result.certified
+    assert type(result.dim) is int and type(result.steps) is int
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        gate_crosscheck(3.0)
+
+
 @pytest.mark.parametrize("width", [0.3, 0.45, 1.0 / 6.0, 0.9])
 def test_gate_crosscheck_slit_widths(width):
     """Narrow, wide and overlapping slits: no phase is fitted, yet each
