@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gauss import _integer
 from .grating import (
     _BLOCK_ENTRIES,
     GratingSpec,
@@ -61,6 +62,7 @@ class CarpetImage:
 
 
 def _sample_grid(z_steps: int, x_steps: int, zeta_span) -> tuple[np.ndarray, np.ndarray]:
+    z_steps, x_steps = _integer(z_steps, "z_steps"), _integer(x_steps, "x_steps")
     if z_steps < 2 or x_steps < 2:
         raise ValueError(f"need at least a 2x2 grid, got {z_steps}x{x_steps}")
     lo, hi = (float(zeta_span[0]), float(zeta_span[1]))

@@ -75,23 +75,22 @@ def synthesize_gaussian_comb(
     extent = extent_factor * sigma
     x = (np.arange(n) - n // 2) * (extent / n)
     comb = grating_coefficients(spec).evaluate(x)
-    envelope = np.exp(-(x**2) / (2.0 * sigma**2))
-    field = SampledField(comb * envelope, extent, wavelength)
-    return field.normalized()
+    comb *= np.exp(-(x**2) / (2.0 * sigma**2))
+    del x
+    return SampledField(comb, extent, wavelength).normalized()
 
 
 def _revival_fidelities(field: SampledField, m_list):
     """Yield (m, fidelity, report) for each m, from one spectrum of field.
 
     Fidelity after m carpet periods (z = 2 m / wavelength in period
-    units).  Each propagated field is dropped before its row is yielded,
-    so one lives at a time.
+    units).  Every step overwrites one buffer (see _angular_spectrum), so
+    one propagated field lives at a time.
     """
     propagate = _angular_spectrum(field)
     for m in m_list:
         propagated, report = propagate(2.0 * m / field.wavelength)
         overlap = np.vdot(field.amplitudes, propagated.amplitudes) * field.dx
-        del propagated
         yield m, float(abs(overlap) ** 2), report
 
 

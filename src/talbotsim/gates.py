@@ -31,9 +31,8 @@ __all__ = [
 
 def pauli_shift(D: int, power: int = 1) -> np.ndarray:
     """Cyclic shift X^power on D levels: |d> -> |d + power mod D>."""
-    if D < 1:
-        raise ValueError(f"dimension must be positive, got {D}")
-    return np.roll(np.eye(D), power, axis=0)
+    D = _integer(D, "dimension", positive=True)
+    return np.roll(np.eye(D), _integer(power, "power"), axis=0)
 
 
 def talbot_cycle_length(D: int) -> int:
@@ -92,8 +91,7 @@ def diagonal_gate(phases: np.ndarray) -> np.ndarray:
 
 def qft_matrix(D: int) -> np.ndarray:
     """Discrete Fourier transform F[d, j] = exp(-2i pi d j / D) / sqrt(D)."""
-    if D < 1:
-        raise ValueError(f"dimension must be positive, got {D}")
+    D = _integer(D, "dimension", positive=True)
     d = np.arange(D)
     return np.exp(-2j * np.pi * np.outer(d, d) / D) / np.sqrt(D)
 

@@ -99,20 +99,24 @@ class ModeField:
         """Complex field values at positions x (in periods), as a flat vector.
 
         Positions are summed in blocks of at most _BLOCK_ENTRIES complex
-        entries, so memory is bounded by the output, not by samples x modes.
+        entries, all in one reused buffer, so memory is bounded by the
+        output, not by samples x modes.
         """
         x = np.asarray(x, dtype=float).ravel()
         M = self.truncation
         nonnegative = np.arange(M + 1)
         values = np.empty(len(x), dtype=complex)
         block = max(1, _BLOCK_ENTRIES // (2 * M + 1))
+        buffer = np.empty((min(block, len(x)), 2 * M + 1), dtype=complex)
         for lo in range(0, len(x), block):
             chunk = x[lo:lo + block]
-            phases = np.empty((len(chunk), 2 * M + 1), dtype=complex)
+            phases = buffer[:len(chunk)]
             # exp(2i pi x m) for m >= 0 only: the argument for -m is the
             # exact negation and cexp is conjugate-symmetric, so mode -m is
-            # the conjugate of mode m bit for bit.
-            np.exp(2j * np.pi * np.outer(chunk, nonnegative), out=phases[:, M:])
+            # the conjugate of mode m bit for bit.  The argument is built
+            # where its exponential goes.
+            np.multiply(2j * np.pi, np.outer(chunk, nonnegative), out=phases[:, M:])
+            np.exp(phases[:, M:], out=phases[:, M:])
             np.conjugate(phases[:, :M:-1], out=phases[:, :M])
             values[lo:lo + block] = phases @ self.coefficients
         return values
@@ -145,8 +149,7 @@ def basis_wavefunction(spec: GratingSpec, D: int, d: int) -> ModeField:
     Translation covariance is exact in mode space: the coefficients of |d>
     are those of |0> times exp(-2i pi m d / D).
     """
-    if D < 1:
-        raise ValueError(f"dimension must be positive, got {D}")
+    D, d = _integer(D, "dimension", positive=True), _integer(d, "level")
     if not 0 <= d < D:
         raise ValueError(f"level must satisfy 0 <= d < D, got {d}")
     return grating_coefficients(spec).translated(d / D)
@@ -160,6 +163,7 @@ def mean_orthogonality(D: int, a_over_ell: float) -> float:
     intersection divided by a.  Returns 0 iff a <= 1/D (disjoint slits)
     and 1 at a = 1 (all slits coincide with the full period).
     """
+    D = _integer(D, "dimension")
     if D < 2:
         raise ValueError(f"need at least two levels, got D={D}")
     if not 0 < a_over_ell <= 1:

@@ -68,10 +68,17 @@ class SDBSSpec:
         object.__setattr__(self, "reflection", r)
 
 
-def control_splitter(D: int, k: int) -> SDBSSpec:
-    """Level k transmits with amplitude 1/sqrt(3); every other level reflects."""
+def _control(D, k) -> tuple[int, int]:
+    """(D, k) as ints by the package's integer rule, with 0 <= k < D."""
+    D, k = _integer(D, "dimension", positive=True), _integer(k, "control level")
     if not 0 <= k < D:
         raise ValueError(f"control level must satisfy 0 <= k < {D}, got {k}")
+    return D, k
+
+
+def control_splitter(D: int, k: int) -> SDBSSpec:
+    """Level k transmits with amplitude 1/sqrt(3); every other level reflects."""
+    D, k = _control(D, k)
     t = np.zeros(D)
     r = np.ones(D)
     t[k] = 1.0 / math.sqrt(3.0)
@@ -81,8 +88,7 @@ def control_splitter(D: int, k: int) -> SDBSSpec:
 
 def filter_splitter(D: int, k: int) -> SDBSSpec:
     """Balancing filter: level k passes, others attenuate to 1/sqrt(3)."""
-    if not 0 <= k < D:
-        raise ValueError(f"control level must satisfy 0 <= k < {D}, got {k}")
+    D, k = _control(D, k)
     t = np.full(D, 1.0 / math.sqrt(3.0))
     r = np.full(D, math.sqrt(2.0 / 3.0))
     t[k] = 1.0
@@ -154,6 +160,7 @@ class PostSelectedOperator:
 
 def ideal_cz_matrix(D: int, k: int) -> np.ndarray:
     """Controlled-Z on levels: phase -1 exactly when both photons sit at k."""
+    D, k = _control(D, k)
     diag = np.ones(D * D)
     diag[k * D + k] = -1.0
     return np.diag(diag)
@@ -180,22 +187,28 @@ def build_cz(D: int, k: int) -> PostSelectedOperator:
     one-state-at-a-time evolution of `_cz_by_state_evolution` puts them, so
     the entries carry the same bits as that route (signed zeros included).
     """
-    D, k = _integer(D, "dimension"), _integer(k, "control level")
-    if not 0 <= k < D:
-        raise ValueError(f"control level must satisfy 0 <= k < {D}, got {k}")
+    D, k = _control(D, k)
     swap_levels = tuple(d for d in range(D) if d != k)
     U = _swap_matrix(D, swap_levels) @ sdbs_mode_map(control_splitter(D, k))
     filter_t = filter_splitter(D, k).transmission.real
     half = 1.0 / math.sqrt(2.0)
 
-    # coincidence[i, j, d, f]: input (a, d)(b, f) -> output (a, i)(b, j)
+    # coincidence[i, j, d, f]: input (a, d)(b, f) -> output (a, i)(b, j);
+    # the second ordering is added one output row i at a time, so no
+    # temporary is as large as the matrix
     coincidence = np.einsum("if,jd->ijdf", U[:D, D:] * half, U[D:, :D])
-    coincidence += np.einsum("id,jf->ijdf", U[:D, :D] * half, U[D:, D:])
+    direct = U[:D, :D] * half
+    for i in range(D):
+        coincidence[i] += np.einsum("d,jf->jdf", direct[i], U[D:, D:])
     coincidence *= math.sqrt(2.0)
     coincidence *= filter_t[:, None, None, None]
     coincidence *= filter_t[None, :, None, None]
     matrix = coincidence.reshape(D * D, D * D)
-    success = np.linalg.norm(matrix, axis=0) ** 2
+    # column norms over blocks of D columns: the same sums, with
+    # temporaries of D columns instead of two of the whole matrix
+    success = np.concatenate(
+        [np.linalg.norm(matrix[:, lo:lo + D], axis=0) for lo in range(0, D * D, D)]
+    ) ** 2
 
     alpha, beta, gamma = _diagonal_corrections(matrix, D, k)
     return PostSelectedOperator(
@@ -257,23 +270,27 @@ def interaction_phase_signature(matrix: np.ndarray) -> np.ndarray:
     (-pi, pi], where g is the operator diagonal.  Single-path phase masks
     on either side cancel out of chi, so it isolates the genuine
     interaction.  Requires a finite diagonal matrix (off-diagonal entries
-    at most 1e-10) of uniform nonzero modulus.
+    at most 1e-10) of uniform nonzero modulus.  A real or complex matrix
+    is read in place: no temporary is larger than its off-diagonal moduli.
     """
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = np.asarray(matrix)
     n = matrix.shape[0]
     D = math.isqrt(n)
     if matrix.shape != (n, n) or D * D != n:
         raise ValueError(f"expected a D^2 x D^2 matrix, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix entries must be finite")
-    off = matrix - np.diag(np.diagonal(matrix))
-    off_norm = float(np.abs(off).max())
+    # the flat entries after the first, n + 1 per row, lead with the n
+    # off-diagonal entries between two diagonal ones
+    off_diagonal = matrix.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    off_norm = float(np.abs(off_diagonal).max(initial=0.0))
     if off_norm > 1e-10:
         raise ValueError(f"matrix is not diagonal: max off-diagonal {off_norm:.3e} > 1e-10")
-    moduli = np.abs(np.diagonal(matrix))
+    diagonal = np.diagonal(matrix).astype(complex)
+    moduli = np.abs(diagonal)
     if moduli.min() <= 0 or (moduli.max() - moduli.min()) / moduli.max() > 1e-8:
         raise ValueError("diagonal moduli must be uniform and nonzero")
-    phases = np.angle(np.diagonal(matrix)).reshape(D, D)
+    phases = np.angle(diagonal).reshape(D, D)
     chi = phases - phases[:, :1] - phases[:1, :] + phases[0, 0]
     return _wrap(chi)
 

@@ -311,8 +311,10 @@ def _angular_spectrum(field: SampledField):
     grows with j up to the Nyquist bin n/2: the propagating bins are the
     prefix 0..kept-1 and its mirror n-kept+1..n-1 (a kept Nyquist bin is
     its own mirror, written twice with the same product).  Each call takes
-    the phase on the prefix only and writes both runs into one buffer
-    whose evanescent bins stay zero.
+    the phase on the prefix only, writes both runs and zeroes the
+    evanescent gap of one buffer, and inverts it there in place.  The
+    returned field is a read-only view of that buffer, valid until the
+    next call: copy its amplitudes to keep them.
     """
     n = len(field.amplitudes)
     dx = field.dx
@@ -337,10 +339,11 @@ def _angular_spectrum(field: SampledField):
     spacing_ratio = float(dx / (field.wavelength / 4.0))
     # the full-length setup arrays go before the buffer comes
     del kx, evanescent, near_edge
-    propagated = np.zeros(n, dtype=complex)
+    propagated = np.empty(n, dtype=complex)
 
     def propagate(z: float) -> tuple[SampledField, PropagationReport]:
-        phase = np.exp(1j * z * kz)
+        phase = 1j * z * kz
+        np.exp(phase, out=phase)
         # phase first, straight into the buffer: complex products round by
         # operand order, and the pinned fidelity CSVs hold exp * spectrum.
         # Never write `phase * spectrum[idx]`: above 256 KiB NumPy's
@@ -349,7 +352,10 @@ def _angular_spectrum(field: SampledField):
         np.multiply(phase, spectrum[:kept], out=propagated[:kept])
         np.multiply(phase[:0:-1], spectrum[mirror:], out=propagated[mirror:])
         del phase
-        out = SampledField(np.fft.ifft(propagated), field.extent, field.wavelength)
+        # the previous call's inverse FFT filled the gap
+        propagated[kept:mirror] = 0
+        np.fft.ifft(propagated, out=propagated)
+        out = SampledField(propagated.view(), field.extent, field.wavelength)
         report = PropagationReport(
             distance=float(z),
             dropped_norm_fraction=dropped_fraction,

@@ -120,8 +120,9 @@ def test_evaluate_memory_is_output_sized():
     finally:
         tracemalloc.stop()
     assert values.shape == x.shape
-    # the dense 2^16 x 257 phase matrix alone is 270 MB
-    assert peak < 32 * 2**20
+    # the dense 2^16 x 257 phase matrix alone is 270 MB; the output (1 MiB),
+    # one 4 MiB block buffer and its 1 MiB argument peak at 6.25 MiB
+    assert peak < 7 * 2**20
 
 
 def test_translation_covariance_on_grid():

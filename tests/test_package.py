@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -137,7 +138,7 @@ def test_private_names_crossing_module_boundaries_are_the_listed_few():
         if names:
             crossing[path.stem] = names
     assert crossing == {
-        "carpet": ["_BLOCK_ENTRIES", "_paraxial_phases", "_slit_basis", "_walk"],
+        "carpet": ["_BLOCK_ENTRIES", "_integer", "_paraxial_phases", "_slit_basis", "_walk"],
         "fidelity": ["_angular_spectrum"],
         "gates": ["_integer"],
         "grating": ["_integer"],
@@ -147,3 +148,37 @@ def test_private_names_crossing_module_boundaries_are_the_listed_few():
         "serialize": ["_integer"],
         "verify": ["_cz_by_state_evolution"],
     }
+
+
+_SPEC = talbotsim.GratingSpec(slit_width=0.125, mode_truncation=16)
+_PROGRAM = talbotsim.OpticalProgram(2, (talbotsim.Propagate(Fraction(1, 4)),))
+# Public functions that take a dimension, a level or a step count, each
+# with the argument under test as `n`.
+INTEGER_ARGUMENTS = {
+    "qft_matrix": lambda n: talbotsim.qft_matrix(n),
+    "pauli_shift": lambda n: talbotsim.pauli_shift(n),
+    "pauli_shift-power": lambda n: talbotsim.pauli_shift(3, n),
+    "mean_orthogonality": lambda n: talbotsim.mean_orthogonality(n, 0.3),
+    "basis_wavefunction": lambda n: talbotsim.basis_wavefunction(_SPEC, n, 0),
+    "basis_wavefunction-level": lambda n: talbotsim.basis_wavefunction(_SPEC, 4, n),
+    "ideal_cz_matrix": lambda n: talbotsim.ideal_cz_matrix(n, 1),
+    "ideal_cz_matrix-level": lambda n: talbotsim.ideal_cz_matrix(3, n),
+    "control_splitter": lambda n: talbotsim.control_splitter(n, 1),
+    "filter_splitter": lambda n: talbotsim.filter_splitter(n, 1),
+    "render_carpet-z": lambda n: talbotsim.render_carpet(_SPEC, z_steps=n, x_steps=8),
+    "render_carpet-x": lambda n: talbotsim.render_carpet(_SPEC, z_steps=3, x_steps=n),
+    "render_program_carpet-z": lambda n: talbotsim.render_program_carpet(
+        _SPEC, _PROGRAM, z_steps=n, x_steps=8),
+    "render_program_carpet-x": lambda n: talbotsim.render_program_carpet(
+        _SPEC, _PROGRAM, z_steps=3, x_steps=n),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_integer_arguments_refuse_floats_and_bools(call, value):
+    # int() would truncate 2.5 and read True as 1; the package's one rule
+    # (gauss._integer) makes each a ValueError instead
+    call(2)
+    with pytest.raises(ValueError, match="must be (a positive|an) integer"):
+        call(value)
