@@ -98,27 +98,56 @@ class ModeField:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Complex field values at positions x (in periods), as a flat vector.
 
-        Positions are summed in blocks of at most _BLOCK_ENTRIES complex
-        entries, all in one reused buffer, so memory is bounded by the
-        output, not by samples x modes.
+        Positions are visited in order of |x| and summed in blocks of at
+        most _BLOCK_ENTRIES complex entries, all in one reused buffer, so
+        memory is bounded by the output, not by samples x modes.  Each
+        distinct |x| of a block is exponentiated once: the row of
+        exponentials for -|x| is its conjugate, so x and -x share it.
+        Positions must be finite.
         """
         x = np.asarray(x, dtype=float).ravel()
+        order = np.argsort(np.abs(x), kind="stable")
+        # NaN sorts last, so the last position is finite only if all are
+        if len(x) and not np.isfinite(x[order[-1]]):
+            raise ValueError(f"positions must be finite, got {x[order[-1]]}")
         M = self.truncation
         nonnegative = np.arange(M + 1)
         values = np.empty(len(x), dtype=complex)
-        block = max(1, _BLOCK_ENTRIES // (2 * M + 1))
-        buffer = np.empty((min(block, len(x)), 2 * M + 1), dtype=complex)
-        for lo in range(0, len(x), block):
-            chunk = x[lo:lo + block]
-            phases = buffer[:len(chunk)]
-            # exp(2i pi x m) for m >= 0 only: the argument for -m is the
-            # exact negation and cexp is conjugate-symmetric, so mode -m is
-            # the conjugate of mode m bit for bit.  The argument is built
-            # where its exponential goes.
-            np.multiply(2j * np.pi, np.outer(chunk, nonnegative), out=phases[:, M:])
-            np.exp(phases[:, M:], out=phases[:, M:])
-            np.conjugate(phases[:, :M:-1], out=phases[:, :M])
-            values[lo:lo + block] = phases @ self.coefficients
+        # a block stacks up to `half` rows for +|x| and as many for -|x|
+        block = max(2, _BLOCK_ENTRIES // (2 * M + 1))
+        half = block // 2
+        buffer = np.empty((min(block, 2 * len(x)), 2 * M + 1), dtype=complex)
+        for lo in range(0, len(x), half):
+            at = order[lo:lo + half]
+            magnitude = x[at]
+            # -0.0 is not negative: it takes the +0.0 row, the same bits
+            negative = magnitude < 0
+            np.abs(magnitude, out=magnitude)
+            first = np.empty(len(magnitude), dtype=bool)
+            first[0] = True
+            np.not_equal(magnitude[1:], magnitude[:-1], out=first[1:])
+            distinct = magnitude[first]
+            k = len(distinct)
+            phases = buffer[:2 * k]
+            # exp(2i pi x m) for x = |x| and m >= 0 only: the argument for
+            # -x or -m is the exact negation and cexp is conjugate-symmetric,
+            # so those exponentials are conjugates bit for bit.  The argument
+            # is built where its exponential goes.
+            rows = phases[:k, M:]
+            np.multiply(distinct[:, None], nonnegative, out=rows)
+            np.multiply(2j * np.pi, rows, out=rows)
+            np.exp(rows, out=rows)
+            np.conjugate(phases[:k, :M:-1], out=phases[:k, :M])
+            np.conjugate(phases[:k], out=phases[k:])
+            # one product over both halves: NumPy takes a single row by a
+            # dot whose rounding differs from the multi-row product's
+            sums = phases @ self.coefficients
+            # each position takes its magnitude's row, or for x < 0 the
+            # conjugate row k further on
+            row = np.cumsum(first)
+            row -= 1
+            row[negative] += k
+            values[at] = sums[row]
         return values
 
 

@@ -95,8 +95,9 @@ def test_evaluate_shape_and_blocks_match_dense_sum():
 
 @pytest.mark.parametrize("M", [1, 4, 16, 128])
 def test_evaluate_is_bitwise_the_dense_sum(M):
-    # evaluate computes exp for modes 0..M only and conjugates them for
-    # -M..-1; the bits must equal the full dense product
+    # evaluate computes exp once per distinct |x| and for modes 0..M only,
+    # conjugating for -|x| and for -M..-1; the bits must equal the full
+    # dense product
     field = grating_coefficients(GratingSpec(slit_width=0.3, mode_truncation=M))
     n = 4096
     grids = [
@@ -121,8 +122,67 @@ def test_evaluate_memory_is_output_sized():
         tracemalloc.stop()
     assert values.shape == x.shape
     # the dense 2^16 x 257 phase matrix alone is 270 MB; the output (1 MiB),
-    # one 4 MiB block buffer and its 1 MiB argument peak at 6.25 MiB
-    assert peak < 7 * 2**20
+    # one 4 MiB block buffer and the 0.5 MiB order of |x| peak at 5.79 MiB
+    assert peak < 6 * 2**20
+
+
+def blocked_dense(field: ModeField, x: np.ndarray, rows: int = 4096) -> np.ndarray:
+    """Independent oracle: the dense product exp(2i pi x m) @ c, a few
+    thousand rows at a time.  Every part holds at least two rows (len(x) >= 2),
+    since NumPy takes a one-row product by a dot that rounds differently."""
+    parts = np.array_split(x, -(-len(x) // rows))
+    return np.concatenate([
+        np.exp(2j * np.pi * np.outer(part, field.modes)) @ field.coefficients
+        for part in parts
+    ])
+
+
+@pytest.mark.parametrize("M", [4, 128])
+def test_evaluate_is_bitwise_the_dense_sum_whatever_the_order(M):
+    # evaluate visits positions by |x| and shares one exponential row
+    # between x and -x; M = 128 gives 1020-row blocks, 510 magnitudes each
+    field = grating_coefficients(GratingSpec(slit_width=0.3, mode_truncation=M))
+    rng = np.random.default_rng(20 + M)
+    t = rng.uniform(0.0, 30.0, 1500)
+    grids = {
+        "unsorted": rng.permutation(np.concatenate([t, -t, t[:500]])),
+        "repeated magnitudes": np.column_stack([t, -t, t]).ravel(),
+        "signed zeros": np.array([-0.0, 0.0, 0.5, -0.0, -0.5, 0.0, 0.5]),
+        # the lone 0 puts a +-t pair across each boundary, both of the
+        # 510-magnitude windows and of 1020-row blocks in input order
+        "pairs across blocks": np.concatenate([[0.0], np.column_stack([t, -t]).ravel()]),
+        # in 1020-row blocks taken in input order, the last point is alone
+        "trailing lone point": rng.uniform(-40.0, 40.0, 1021),
+    }
+    for name, x in grids.items():
+        values = field.evaluate(x)
+        assert np.array_equal(values.view(np.uint64), blocked_dense(field, x).view(np.uint64)), name
+
+
+def test_evaluate_on_the_benchmark_comb_grid_is_bitwise_the_dense_sum():
+    # the fidelity sweep's centred grid: n_x 2^17, M 16, 16 sigma at sigma 50.1
+    field = grating_coefficients(GratingSpec(slit_width=0.5, mode_truncation=16))
+    n = 1 << 17
+    x = (np.arange(n) - n // 2) * (16.0 * 50.1 / n)
+    values = field.evaluate(x)
+    assert np.array_equal(values.view(np.uint64), blocked_dense(field, x).view(np.uint64))
+
+
+@pytest.mark.parametrize("M", [4, 16])
+def test_evaluate_of_one_point_is_bitwise_its_value_in_a_batch(M):
+    field = grating_coefficients(GratingSpec(slit_width=0.3, mode_truncation=M))
+    x = np.random.default_rng(M).uniform(-40.0, 40.0, 200)
+    batched = field.evaluate(x)
+    single = np.concatenate([field.evaluate(x[i:i + 1]) for i in range(len(x))])
+    assert np.array_equal(single.view(np.uint64), batched.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_evaluate_refuses_non_finite_positions(bad):
+    field = grating_coefficients(GratingSpec(slit_width=0.3, mode_truncation=4))
+    for x in (bad, np.array([0.25, bad, -0.5])):
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            field.evaluate(x)
 
 
 def test_translation_covariance_on_grid():
