@@ -7,47 +7,34 @@ spectrum propagation, carpets) that serves as its brute-force check.  A
 third layer composes two photons on slitwise beam splitters into a
 post-selected controlled-Z.
 
-The public names are those in each module's __all__.
+The public names are those in each module's __all__.  A module is imported
+the first time one of its names is looked up here (PEP 562), so a process
+loads only the modules it uses.
 """
 
-from . import (
-    carpet,
-    fidelity,
-    gates,
-    gauss,
-    grating,
-    measure,
-    photonpair,
-    programs,
-    propagation,
-    serialize,
-    verify,
-)
-from .carpet import *
-from .fidelity import *
-from .gates import *
-from .gauss import *
-from .grating import *
-from .measure import *
-from .photonpair import *
-from .programs import *
-from .propagation import *
-from .serialize import *
-from .verify import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    *gauss.__all__,
-    *gates.__all__,
-    *programs.__all__,
-    *measure.__all__,
-    *grating.__all__,
-    *propagation.__all__,
-    *carpet.__all__,
-    *fidelity.__all__,
-    *photonpair.__all__,
-    *serialize.__all__,
-    *verify.__all__,
-]
+# In the order of their names in __all__.
+_MODULES = ("gauss", "gates", "programs", "measure", "grating", "propagation", "carpet",
+            "fidelity", "photonpair", "serialize", "verify")
+
+
+def __getattr__(name: str):
+    # Nothing is cached in the package namespace: each name stays bound only
+    # in its own module, so rebinding it there is seen here too.
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        return ["__version__", *(public for module in _MODULES
+                                 for public in __getattr__(module).__all__)]
+    for module_name in _MODULES:
+        module = __getattr__(module_name)
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})

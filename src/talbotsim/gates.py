@@ -55,9 +55,16 @@ def talbot_step_coefficients(D: int) -> np.ndarray:
 
 
 def circulant(column: np.ndarray) -> np.ndarray:
-    """Circulant matrix whose j-th column is the cyclic roll of `column` by j."""
+    """Circulant matrix whose j-th column is the cyclic roll of `column` by j.
+
+    The matrix is allocated once, before any column is filled, so a size
+    that cannot be held fails at once with MemoryError.
+    """
     column = np.asarray(column)
-    return np.column_stack([np.roll(column, j) for j in range(len(column))])
+    matrix = np.empty((len(column), len(column)), dtype=column.dtype)
+    for j in range(len(column)):
+        matrix[:, j] = np.roll(column, j)
+    return matrix
 
 
 def talbot_unitary(D: int, q: int = 1) -> np.ndarray:

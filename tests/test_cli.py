@@ -1,5 +1,6 @@
 """Command line interface: outputs, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -13,11 +14,13 @@ from click.testing import CliRunner
 
 from talbotsim import (
     build_cz,
+    fidelity,
     hadamard_program,
     matrix_from_json,
     program_from_json,
     program_to_json,
     talbot_unitary,
+    verify,
 )
 from talbotsim.cli import main
 
@@ -597,6 +600,76 @@ def test_stdout_closed_by_the_reader_exits_1_without_a_message():
     assert process.wait() == 1
     assert stderr == b""
     assert head == b'{\n  "kind": "talbot_'
+
+
+# Sizes whose arrays no machine holds: czgate's D^4 coincidence tensor
+# (14.6 TiB) and fidelity's grid (8 TiB).
+ABSURD_SIZES = {
+    "czgate-dim-1000": ["czgate", "-d", "1000", "-k", "0"],
+    "fidelity-n-x-2^40": ["fidelity", "--n-slits", "5", "--m-max", "1", "--n-x", str(2**40)],
+}
+
+# `python -m talbotsim ARGS` with 64 GiB of address space, so that the
+# allocation fails at once even where the kernel would overcommit it.
+RUN_WITH_ADDRESS_LIMIT = """
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (64 << 30, 64 << 30))
+sys.argv[0] = "talbotsim"
+runpy.run_module("talbotsim", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("args", ABSURD_SIZES.values(), ids=ABSURD_SIZES.keys())
+def test_absurd_sizes_are_usage_errors(args):
+    result = subprocess.run([sys.executable, "-c", RUN_WITH_ADDRESS_LIMIT, *args],
+                            capture_output=True, check=False)
+    assert result.returncode == 2
+    assert b"Error: Unable to allocate" in result.stderr
+    assert b"Traceback" not in result.stderr
+    assert result.stdout == b""
+
+
+# `python -m talbotsim ARGS` that prints, at exit, the talbotsim modules it loaded.
+LIST_LOADED_MODULES = """
+import atexit, runpy, sys
+atexit.register(lambda: print(sorted(name for name in sys.modules
+                                     if name.startswith("talbotsim.")), file=sys.stderr))
+sys.argv[0] = "talbotsim"
+runpy.run_module("talbotsim", run_name="__main__", alter_sys=True)
+"""
+
+
+def loaded_modules(args) -> set:
+    result = subprocess.run([sys.executable, "-c", LIST_LOADED_MODULES, *args],
+                            capture_output=True, check=False)
+    assert result.returncode == 0, result.stderr
+    return set(ast.literal_eval(result.stderr.decode().splitlines()[-1]))
+
+
+def test_help_loads_only_the_cli():
+    assert loaded_modules(["--help"]) == {"talbotsim.cli"}
+
+
+def test_gate_loads_no_wave_optics_and_no_other_command():
+    unused = {"carpet", "fidelity", "grating", "measure", "photonpair", "propagation", "verify"}
+    assert not loaded_modules(["gate", "-d", "3"]) & {f"talbotsim.{name}" for name in unused}
+
+
+def test_cli_literals_are_the_library_values():
+    # cli.py spells these out so that --help imports neither module
+    suite = next(p for p in main.commands["verify"].params if p.name == "suite")
+    assert list(suite.type.choices) == [*verify.suite_names(), "all"]
+    defaults = {p.name: p.default for p in main.commands["fidelity"].params}
+    library = {
+        "slit_ratio": fidelity.DEFAULT_SLIT_WIDTH,
+        "wavelength": fidelity.DEFAULT_WAVELENGTH,
+        "truncation": fidelity.DEFAULT_MODE_TRUNCATION,
+        "n_x": fidelity.DEFAULT_SAMPLES,
+        "extent_factor": fidelity.DEFAULT_EXTENT_FACTOR,
+    }
+    for name, value in library.items():
+        assert type(defaults[name]) is type(value), name
+        assert defaults[name] == value, name
 
 
 def test_gate_output_is_byte_deterministic():

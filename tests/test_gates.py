@@ -1,5 +1,7 @@
 """Gate algebra tests; the independent oracle diagonalizes in Fourier space."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,22 @@ def test_circulant_helper():
     M = circulant(c)
     assert np.array_equal(M[:, 1], np.array([3.0, 1.0, 2.0]))
     assert np.array_equal(M[:, 2], np.array([2.0, 3.0, 1.0]))
+
+
+def test_circulant_peak_memory_is_its_output():
+    # one preallocated matrix: stacking a list of rolled columns would hold
+    # it twice, and grow until memory ran out for a huge D
+    column = np.exp(1j * np.arange(512))
+    tracemalloc.start()
+    try:
+        matrix = circulant(column)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * matrix.nbytes  # 4 MiB
+    stacked = np.column_stack([np.roll(column, j) for j in range(len(column))])
+    assert np.array_equal(matrix, stacked)
+    assert matrix.flags.c_contiguous
 
 
 def test_diagonal_gate_and_two_pi_shift():

@@ -24,6 +24,19 @@ def test_public_names_are_the_module_all_lists():
         assert getattr(talbotsim, name) is not None, name
 
 
+def test_public_names_resolve_on_lookup_and_are_never_cached():
+    # each name stays bound only in its own module, so code that rebinds a
+    # function there (a tracer, a monkeypatch) is seen through the package
+    star = {}
+    exec("from talbotsim import *", star)
+    assert star.keys() - {"__builtins__"} == set(talbotsim.__all__)
+    assert set(talbotsim.__all__) <= set(dir(talbotsim))
+    for name in talbotsim.__all__:
+        if name != "__version__":
+            assert star[name] is getattr(talbotsim, name)
+            assert name not in vars(talbotsim), name
+
+
 # The package's public names, so that adding or removing one has to be a
 # deliberate edit here.
 PUBLIC_NAMES = [
