@@ -37,9 +37,7 @@ def pauli_shift(D: int, power: int = 1) -> np.ndarray:
 
 def talbot_cycle_length(D: int) -> int:
     """Order of the canonical Talbot step: 2D for even D, D for odd D."""
-    D = _integer(D, "dimension")
-    if D < 1:
-        raise ValueError(f"dimension must be positive, got {D}")
+    D = _integer(D, "dimension", positive=True)
     return 2 * D if D % 2 == 0 else D
 
 

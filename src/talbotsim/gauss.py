@@ -56,9 +56,7 @@ def gauss_coefficients(q: int, r: int) -> np.ndarray:
 
     Requires r >= 1 and gcd(q, r) = 1; reduce the fraction q/r first.
     """
-    q, r = _integer(q, "q"), _integer(r, "r")
-    if r < 1:
-        raise ValueError(f"denominator must be positive, got r={r}")
+    q, r = _integer(q, "q"), _integer(r, "r", positive=True)
     if gcd(q, r) != 1:
         raise ValueError(
             f"q/r must be in lowest terms, got q={q}, r={r} with gcd {gcd(q, r)}"

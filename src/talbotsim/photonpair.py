@@ -98,24 +98,9 @@ def filter_splitter(D: int, k: int) -> SDBSSpec:
 
 def sdbs_mode_map(spec: SDBSSpec) -> np.ndarray:
     """Single-photon unitary of the splitter on extended modes (2D x 2D)."""
-    D = spec.dim
-    U = np.zeros((2 * D, 2 * D), dtype=complex)
-    for d in range(D):
-        t = spec.transmission[d]
-        r = spec.reflection[d]
-        U[d, d] = t
-        U[d, D + d] = 1j * r
-        U[D + d, d] = 1j * r
-        U[D + d, D + d] = t
-    return U
-
-
-def _swap_matrix(D: int, swapped_levels) -> np.ndarray:
-    """Path relabeling a_d <-> b_d on the given levels, identity elsewhere."""
-    P = np.eye(2 * D)
-    for d in swapped_levels:
-        P[[d, D + d]] = P[[D + d, d]]
-    return P
+    t = np.diag(spec.transmission)
+    ir = np.diag(1j * spec.reflection)
+    return np.block([[t, ir], [ir, t]])
 
 
 @dataclass(frozen=True)
@@ -175,21 +160,27 @@ def build_cz(D: int, k: int) -> PostSelectedOperator:
     absorbs it into i times the identity), then per-path balancing filters
     whose surviving-amplitude action scales coincidences by t_d on each
     side.  Every basis input succeeds with probability 1/9 and the
-    heralded matrix is diagonal with uniform modulus 1/3; the residual
-    phases are returned as declared local corrections, after which the
-    matrix is exactly (1/3) ideal_cz_matrix(D, k).
+    heralded matrix is diagonal: input (a, d)(b, f) picks up i for each
+    photon on a reflected level and, at d = f = k, the Hong-Ou-Mandel
+    factor t_k^2 - r_k^2 = -1/3, so its entry is
+    (1/3) i^{[d != k] + [f != k]} (-1)^{[d = f = k]}.  The residual phases
+    are returned as declared local corrections, after which the matrix is
+    exactly (1/3) ideal_cz_matrix(D, k).
 
     All D^2 coincident inputs (a, d)(b, f) are evolved at once: with mode
     map U the coincidence amplitude of output (a, i)(b, j) is
     U[i, D+f] U[D+j, d] + U[i, d] U[D+j, D+f], the two photon orderings of
     the symmetric input.  The 1/sqrt(2) of the input state multiplies the
     path-a factor and the sqrt(2) of post-selection the sum, where the
-    one-state-at-a-time evolution of `_cz_by_state_evolution` puts them, so
-    the entries carry the same bits as that route (signed zeros included).
+    one-state-at-a-time evolution psi -> U psi U^T puts them, so the
+    entries carry the same bits as that route (signed zeros included).
     """
     D, k = _control(D, k)
     swap_levels = tuple(d for d in range(D) if d != k)
-    U = _swap_matrix(D, swap_levels) @ sdbs_mode_map(control_splitter(D, k))
+    U = sdbs_mode_map(control_splitter(D, k))
+    # the path relabeling a_d <-> b_d swaps rows d and D + d of the mode map
+    a = np.array(swap_levels, dtype=int)
+    U[a], U[D + a] = U[D + a], U[a]
     filter_t = filter_splitter(D, k).transmission.real
     half = 1.0 / math.sqrt(2.0)
 
@@ -221,28 +212,6 @@ def build_cz(D: int, k: int) -> PostSelectedOperator:
         correction_beta=beta,
         correction_global=gamma,
     )
-
-
-def _cz_by_state_evolution(D: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, success) of `build_cz`, evolving one coincident input at a time.
-
-    Modes are indexed p * D + d for path p (0 = a, 1 = b) and level d.  A
-    two-photon state is a symmetric psi of unit Frobenius norm, |state> =
-    2^{-1/2} sum_ij psi_ij c_i^+ c_j^+ |0>, and evolves as U psi U^T with the
-    mode map U of `build_cz`.  Input (a, d)(b, f) is psi[d, D+f] = psi[D+f, d]
-    = 2^{-1/2}; its coincidences are sqrt(2) psi[:D, D:], filtered by t_d on
-    each side.
-    """
-    U = _swap_matrix(D, set(range(D)) - {k}) @ sdbs_mode_map(control_splitter(D, k))
-    filter_t = filter_splitter(D, k).transmission.real
-    matrix = np.zeros((D * D, D * D), dtype=complex)
-    for d in range(D):
-        for f in range(D):
-            psi = np.zeros((2 * D, 2 * D), dtype=complex)
-            psi[d, D + f] = psi[D + f, d] = 1.0 / math.sqrt(2.0)
-            C = math.sqrt(2.0) * (U @ psi @ U.T)[:D, D:]
-            matrix[:, d * D + f] = (filter_t[:, None] * C * filter_t[None, :]).reshape(-1)
-    return matrix, np.linalg.norm(matrix, axis=0) ** 2
 
 
 def _diagonal_corrections(matrix: np.ndarray, D: int, k: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -86,13 +86,52 @@ def test_verify_all_suites(runner, tmp_path):
     assert all(check["passed"] for check in checks)
     names = "\n".join(f"{check['suite']}: {check['name']}" for check in checks)
     assert hashlib.sha256(names.encode()).hexdigest() == (
-        "b44e68009540723ae9541a874d7e0b54ad8f2fd9033f72925b5bf31724bdac9b"
+        "49ef755fe839b13a15f3543b784d7ebb59fe12b6c5ee2b1533d75bedca7eaa14"
     )
 
 
 def test_verify_unknown_suite_is_usage_error(runner):
     result = runner.invoke(main, ["verify", "--suite", "bogus"])
     assert result.exit_code == 2
+
+
+def _flipped_mode_map(monkeypatch, blocks):
+    """Patch the splitter so the given off-diagonal blocks carry -i r, not i r."""
+    from talbotsim import photonpair
+
+    original = photonpair.sdbs_mode_map
+
+    def flipped(spec):
+        U = original(spec)
+        D = spec.dim
+        for rows, columns in blocks:
+            U[rows * D:(rows + 1) * D, columns * D:(columns + 1) * D] *= -1
+        return U
+
+    monkeypatch.setattr(photonpair, "sdbs_mode_map", flipped)
+
+
+def test_verify_fails_on_a_unitary_reflection_sign_flip(runner, monkeypatch):
+    # -i r in both off-diagonal blocks is still unitary, and every
+    # figure of merit taken up to local phases still passes; only the
+    # closed form sees the sign
+    _flipped_mode_map(monkeypatch, [(0, 1), (1, 0)])
+    result = verify.run_suite("czgate")
+    assert not result["all_passed"]
+    closed = [c for c in result["checks"] if c["name"].startswith("closed form")]
+    assert len(closed) == 9
+    assert not any(check["passed"] for check in closed)
+    assert runner.invoke(main, ["verify", "--suite", "czgate"]).exit_code == 1
+
+
+def test_verify_library_error_is_a_failure_not_a_usage_error(runner, monkeypatch):
+    # negating one off-diagonal block breaks unitarity, and the czgate
+    # suite raises inside the library: verify takes no input to blame
+    _flipped_mode_map(monkeypatch, [(1, 0)])
+    result = runner.invoke(main, ["verify", "--suite", "czgate"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: diagonal moduli must be uniform and nonzero\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Gate algebra tests; the independent oracle diagonalizes in Fourier space."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -267,11 +268,15 @@ def test_numpy_integers_are_dimensions_and_steps():
 
 
 @pytest.mark.parametrize(
-    "dim", [3.0, True, np.float64(3.0), np.bool_(True), "3"],
-    ids=["float", "bool", "np.float64", "np.bool_", "str"],
+    "dim", [3.0, True, np.float64(3.0), np.bool_(True), "3", 0],
+    ids=["float", "bool", "np.float64", "np.bool_", "str", "zero"],
 )
 def test_non_integer_dimension_is_a_value_error(dim):
-    with pytest.raises(ValueError, match="dimension must be an integer"):
+    # talbot_unitary takes any integer dimension and leaves the positive
+    # rule to talbot_cycle_length, which the zero case reaches
+    kind = "a positive integer" if type(dim) is int else "an integer"
+    with pytest.raises(ValueError, match=re.escape(f"dimension must be {kind}, got {dim!r}")):
         talbot_unitary(dim, 1)
-    with pytest.raises(ValueError, match="dimension must be an integer"):
+    positive = f"dimension must be a positive integer, got {dim!r}"
+    with pytest.raises(ValueError, match=re.escape(positive)):
         talbot_cycle_length(dim)

@@ -28,7 +28,6 @@ from talbotsim import (
     schmidt_coefficients,
     sdbs_mode_map,
 )
-from talbotsim.photonpair import _cz_by_state_evolution
 
 # ---------------------------------------------------------------------------
 # four-path oracle
@@ -84,6 +83,36 @@ def test_build_cz_matches_four_path_oracle(D, k):
     assert np.abs(op.matrix - oracle).max() < 1e-12
 
 
+def _swap_matrix(D: int, swapped_levels) -> np.ndarray:
+    """Path relabeling a_d <-> b_d on the given levels, identity elsewhere."""
+    P = np.eye(2 * D)
+    for d in swapped_levels:
+        P[[d, D + d]] = P[[D + d, d]]
+    return P
+
+
+def _cz_by_state_evolution(D: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, success) of `build_cz`, evolving one coincident input at a time.
+
+    Modes are indexed p * D + d for path p (0 = a, 1 = b) and level d.  A
+    two-photon state is a symmetric psi of unit Frobenius norm, |state> =
+    2^{-1/2} sum_ij psi_ij c_i^+ c_j^+ |0>, and evolves as U psi U^T with the
+    mode map U of `build_cz`.  Input (a, d)(b, f) is psi[d, D+f] = psi[D+f, d]
+    = 2^{-1/2}; its coincidences are sqrt(2) psi[:D, D:], filtered by t_d on
+    each side.
+    """
+    U = _swap_matrix(D, set(range(D)) - {k}) @ sdbs_mode_map(control_splitter(D, k))
+    filter_t = filter_splitter(D, k).transmission.real
+    matrix = np.zeros((D * D, D * D), dtype=complex)
+    for d in range(D):
+        for f in range(D):
+            psi = np.zeros((2 * D, 2 * D), dtype=complex)
+            psi[d, D + f] = psi[D + f, d] = 1.0 / math.sqrt(2.0)
+            C = math.sqrt(2.0) * (U @ psi @ U.T)[:D, D:]
+            matrix[:, d * D + f] = (filter_t[:, None] * C * filter_t[None, :]).reshape(-1)
+    return matrix, np.linalg.norm(matrix, axis=0) ** 2
+
+
 @pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
 def test_build_cz_bitwise_equal_to_per_state_evolution(D):
     for k in range(D):
@@ -93,6 +122,21 @@ def test_build_cz_bitwise_equal_to_per_state_evolution(D):
         assert np.array_equal(op.success_probabilities, success), k
         assert np.array_equal(np.signbit(op.matrix.real), np.signbit(matrix.real)), k
         assert np.array_equal(np.signbit(op.matrix.imag), np.signbit(matrix.imag)), k
+
+
+@pytest.mark.parametrize(
+    "D,k", [(D, k) for D in range(2, 9) for k in range(D)] + [(24, 0), (24, 5), (24, 23)]
+)
+def test_build_cz_matches_closed_form(D, k):
+    # a factor i per reflected photon; both photons at k interfere with
+    # t_k^2 - r_k^2 = 1/3 - 2/3 (Hong-Ou-Mandel), after the filters' 1/3
+    p = np.full(D, 1j)
+    p[k] = 1.0
+    g = np.outer(p, p).reshape(-1) / 3.0
+    g[k * D + k] = -1.0 / 3.0
+    matrix = build_cz(D, k).matrix
+    assert np.abs(np.diagonal(matrix) - g).max() <= 1e-15
+    assert np.count_nonzero(matrix - np.diag(np.diagonal(matrix))) == 0
 
 
 @pytest.mark.parametrize("k", [0, 7, 15])
