@@ -11,18 +11,20 @@ the `verify --suite` choices and the `fidelity` defaults are spelled here
 as literals; the tests compare them with the library's.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures
-or raises an error, 2 for usage errors, invalid configuration (slit
-states that are linearly dependent on the chosen modes included), a size
-whose arrays cannot be allocated, or a file that cannot be read or
-written.  A stdout pipe closed by its reader (`gate -d 128 | head -c 20`)
-ends the run with exit 1 and no message, by click's broken-pipe rule;
-the reader keeps what it read.  All outputs are byte-deterministic for a
-fixed command line, a fixed BLAS thread count and a fixed NumPy CPU
-dispatch: on an AVX-512 CPU, complex a*b and b*a can differ in the last
-bit, so a CPU with other SIMD extensions can change float digits.  The
-`fidelity` CSV can differ in its last digit between OpenBLAS thread
-counts; pin them with OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before
-launch, since the backend reads them only when numpy is first imported.
+(a suite whose library call raises ends with a failed "error:" record,
+and the other suites still run), 2 for usage errors, invalid
+configuration (slit states that are linearly dependent on the chosen
+modes included), a size whose arrays cannot be allocated, or a file that
+cannot be read or written.  A stdout pipe closed by its reader
+(`gate -d 128 | head -c 20`) ends the run with exit 1 and no message, by
+click's broken-pipe rule; the reader keeps what it read.  All outputs are
+byte-deterministic for a fixed command line, a fixed BLAS thread count
+and a fixed NumPy CPU dispatch: on an AVX-512 CPU, complex a*b and b*a
+can differ in the last bit, so a CPU with other SIMD extensions can
+change float digits.  The `fidelity` CSV can differ in its last digit
+between OpenBLAS thread counts; pin them with OMP_NUM_THREADS /
+OPENBLAS_NUM_THREADS before launch, since the backend reads them only
+when numpy is first imported.
 """
 
 import json
@@ -172,12 +174,7 @@ def verify(suite: str, json_out: str | None) -> None:
     from .serialize import write_json
     from .verify import format_report, run_suite
 
-    try:
-        result = run_suite(suite)
-    except (ValueError, MemoryError) as error:
-        # verify takes no input, so a library error is a failed verification
-        click.echo(f"error: {error}", err=True)
-        sys.exit(1)
+    result = run_suite(suite)
     click.echo(format_report(result), nl=False)
     if json_out is not None:
         _write(json_out, write_json, result)

@@ -79,11 +79,12 @@ def test_verify_all_suites(runner, tmp_path):
     # ("suite: name" joined by newlines) so a check cannot vanish unseen
     report = tmp_path / "report.json"
     result = runner.invoke(main, ["verify", "--json-out", str(report)])
+    checks = json.loads(report.read_text())["checks"]
+    # a red run names the checks that broke before it reports the exit code
+    assert [f"{c['suite']}: {c['name']}" for c in checks if not c["passed"]] == []
     assert result.exit_code == 0
     assert result.output.splitlines()[-1] == "suite 'all': all checks passed"
-    checks = json.loads(report.read_text())["checks"]
     assert len(checks) == 137
-    assert all(check["passed"] for check in checks)
     names = "\n".join(f"{check['suite']}: {check['name']}" for check in checks)
     assert hashlib.sha256(names.encode()).hexdigest() == (
         "49ef755fe839b13a15f3543b784d7ebb59fe12b6c5ee2b1533d75bedca7eaa14"
@@ -124,14 +125,63 @@ def test_verify_fails_on_a_unitary_reflection_sign_flip(runner, monkeypatch):
     assert runner.invoke(main, ["verify", "--suite", "czgate"]).exit_code == 1
 
 
-def test_verify_library_error_is_a_failure_not_a_usage_error(runner, monkeypatch):
+def test_verify_library_error_is_a_failure_not_a_usage_error(runner, monkeypatch, tmp_path):
     # negating one off-diagonal block breaks unitarity, and the czgate
-    # suite raises inside the library: verify takes no input to blame
+    # suite raises inside the library: verify takes no input to blame, so
+    # the error is the suite's last, failed record and the other suites run
     _flipped_mode_map(monkeypatch, [(1, 0)])
-    result = runner.invoke(main, ["verify", "--suite", "czgate"])
-    assert result.exit_code == 1
-    assert result.stdout == ""
-    assert result.stderr == "error: diagonal moduli must be uniform and nonzero\n"
+    report = tmp_path / "report.json"
+    for args in ([], ["--suite", "czgate"], ["--json-out", str(report)]):
+        result = runner.invoke(main, ["verify", *args])
+        assert result.exit_code == 1
+        assert "Usage:" not in result.output
+        assert result.stderr == ""
+        lines = result.stdout.splitlines()
+        assert lines[-2] == (
+            "[FAIL] czgate: error: diagonal moduli must be uniform and nonzero "
+            "value=nan tol=0.0e+00"
+        )
+        assert lines[-1].endswith(" FAILURES present")
+        if "--suite" not in args:
+            others = [line for line in lines[:-1] if "] czgate: " not in line]
+            assert {line.split("] ")[1].split(":")[0] for line in others} == {
+                "algebra", "qft", "crosscheck"
+            }
+            assert all(line.startswith("[PASS] ") for line in others)
+    text = report.read_text()
+    payload = json.loads(text)
+    assert payload["all_passed"] is False
+    last = payload["checks"][-1]
+    assert last["suite"] == "czgate" and last["passed"] is False
+    assert np.isnan(last["value"])
+    assert '"value": NaN' in text
+
+
+@pytest.mark.parametrize("error", [ValueError, MemoryError])
+def test_verify_error_ends_its_suite_and_the_next_suites_run(monkeypatch, error):
+    original = verify.gate_crosscheck
+
+    def crosscheck(dim):
+        if dim == 4:
+            raise error("crosscheck broke at D=4")
+        return original(dim)
+
+    monkeypatch.setattr(verify, "gate_crosscheck", crosscheck)
+    result = verify.run_suite("all")
+    assert result["all_passed"] is False
+    crosschecks = [c for c in result["checks"] if c["suite"] == "crosscheck"]
+    assert [c["name"] for c in crosschecks] == [
+        "wave vs matrix D=2", "projection residual D=2",
+        "wave vs matrix D=3", "projection residual D=3",
+        "error: crosscheck broke at D=4",
+    ]
+    assert all(c["passed"] for c in crosschecks[:4])
+    assert crosschecks[-1]["passed"] is False
+    assert np.isnan(crosschecks[-1]["value"])
+    assert crosschecks[-1]["tolerance"] == 0.0
+    czgate = [c for c in result["checks"] if c["suite"] == "czgate"]
+    assert len(czgate) == 55
+    assert all(c["passed"] for c in czgate)
 
 
 # ---------------------------------------------------------------------------
