@@ -65,10 +65,15 @@ def _sample_grid(z_steps: int, x_steps: int, zeta_span) -> tuple[np.ndarray, np.
     z_steps, x_steps = _integer(z_steps, "z_steps"), _integer(x_steps, "x_steps")
     if z_steps < 2 or x_steps < 2:
         raise ValueError(f"need at least a 2x2 grid, got {z_steps}x{x_steps}")
-    lo, hi = (float(zeta_span[0]), float(zeta_span[1]))
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError(f"zeta span must be finite and increase, got {zeta_span}")
-    return np.linspace(lo, hi, z_steps), np.arange(x_steps) / x_steps
+    lo, hi = zeta_span
+    try:
+        start, stop = float(lo), float(hi)
+    except OverflowError:
+        start = stop = math.nan
+    # linspace of a span whose width overflows gives NaN and inf rows
+    if not (-math.inf < start < stop and stop - start < math.inf):
+        raise ValueError(f"zeta span must increase with finite ends and width, got [{lo}, {hi}]")
+    return np.linspace(start, stop, z_steps), np.arange(x_steps) / x_steps
 
 
 def _intensity_rows(segments, zeta_grid, x_steps: int) -> np.ndarray:
@@ -136,7 +141,7 @@ def render_program_carpet(
     total = program.total_distance
     if total == 0:
         raise ValueError("program has zero total propagation distance")
-    zeta_grid, x_grid = _sample_grid(z_steps, x_steps, (0.0, float(total)))
+    zeta_grid, x_grid = _sample_grid(z_steps, x_steps, (0, total))
     float_segments = [(float(s), f) for s, f in segments]
     rows = _intensity_rows(float_segments, zeta_grid, len(x_grid))
     return CarpetImage(

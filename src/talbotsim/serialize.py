@@ -7,12 +7,12 @@ each matrix as a square ndarray (matrix_to_json, postselected_to_json);
 write_json writes json.dumps(..., indent=2) of the payload with each
 matrix spelled out as rows of {"re", "im"} cells.  JSON and CSV go to a
 path or a text stream a piece at a time (a matrix row, a block of CSV
-rows), so no writer holds the whole text in memory.  A matrix row reuses
-the cell texts of an earlier row for entries with the same bytes, so a
-circulant gate or a CZ matrix renders few of its floats; a row with an
-entry they lack is rendered whole, as one format call.  A CSV block renders
-each distinct float of a column once, so a carpet's coordinates are not
-rendered again on every row.
+rows), so no writer holds the whole text in memory.  A matrix cell is
+rendered once while its text is kept (a few rows of texts at most) and
+reused for every later entry with the same bytes, so a circulant gate or
+a CZ matrix renders few of its floats.  A CSV block renders each distinct
+float of a column once, so a carpet's coordinates are not rendered again
+on every row.
 """
 
 import json
@@ -147,11 +147,10 @@ def _json_pieces(value, level: int):
 
 def _matrix_pieces(matrix: np.ndarray, outer: str):
     # A Talbot gate is circulant and a CZ matrix nearly all zeros, so most
-    # rows hold only entries an earlier row rendered.  The cell texts of one
-    # rendered row are kept, keyed on each entry's 16 raw bytes (which keeps
-    # 0.0 apart from -0.0), and a row is rendered only if an entry misses.
-    # A rendered row is cut into cells only once the next row's first entry
-    # is found in it, so a matrix of all-distinct entries pays no cutting.
+    # rows hold only entries an earlier row rendered.  Cell texts are kept in
+    # one dict keyed on each entry's 16 raw bytes (which keeps 0.0 apart from
+    # -0.0); a row with an entry the dict lacks renders only its missing
+    # cells, and the dict is cleared before it can outgrow two rows of texts.
     matrix = _square(matrix)
     dim = matrix.shape[0]
     if dim == 0:
@@ -160,34 +159,25 @@ def _matrix_pieces(matrix: np.ndarray, outer: str):
     row_indent = outer + "  "
     cell_indent = row_indent + "  "
     field_indent = cell_indent + "  "
-    cell = field_indent + '"re": %r,' + field_indent + '"im": %r' + cell_indent
-    # "}" closes a cell and occurs nowhere else in a row, so `between` cuts a
-    # rendered row into its cells, braces stripped
     head, between, tail = "[" + cell_indent + "{", "}," + cell_indent + "{", "}" + row_indent + "]"
-    row_text = head + between.join([cell] * dim) + tail
     raw = np.dtype((np.void, 16))
     texts = {}
-    rendered = None  # (entries, text) of the last rendered row, until cut
-    values = [0.0] * (2 * dim)
     for index, row in enumerate(matrix):
-        entries = row.view(raw)
-        if rendered is not None and (rendered[0] == entries[0]).any():
-            cells = rendered[1][len(head):-len(tail)].split(between)
-            texts = dict(zip(rendered[0].tolist(), cells))
-            rendered = None
+        keys = row.view(raw).tolist()
         try:
-            text = head + between.join(map(texts.__getitem__, entries.tolist())) + tail
+            cells = list(map(texts.__getitem__, keys))
         except KeyError:
-            values[0::2] = row.real.tolist()
-            values[1::2] = row.imag.tolist()
-            if np.isfinite(row).all():
-                text = row_text % tuple(values)
-            else:
-                # json.dumps spells out NaN, Infinity and -Infinity, which repr
-                # writes as nan and inf; finite floats it renders by repr too.
-                text = row_text.replace("%r", "%s") % tuple(map(json.dumps, values))
-            rendered = entries, text
-        yield ("[" if index == 0 else ",") + row_indent + text
+            if len(texts) > dim:
+                texts.clear()
+            # json.dumps spells out NaN, Infinity and -Infinity, which repr
+            # writes as nan and inf; finite floats it renders by repr too
+            render = float.__repr__ if np.isfinite(row).all() else json.dumps
+            for key, entry in zip(keys, row.tolist()):
+                if key not in texts:
+                    texts[key] = (f'{field_indent}"re": {render(entry.real)},'
+                                  f'{field_indent}"im": {render(entry.imag)}{cell_indent}')
+            cells = map(texts.__getitem__, keys)
+        yield ("[" if index == 0 else ",") + row_indent + head + between.join(cells) + tail
     yield outer + "]"
 
 
@@ -198,8 +188,9 @@ def write_json(target, payload: dict) -> None:
     insertion key order, keys str) where each square ndarray in the payload
     is written as its list of rows of {"re", "im"} cells, each float by
     repr.  The text goes out piece by piece, and neither the whole
-    text nor a dict per matrix entry is ever built: memory is bounded by one
-    matrix row.
+    text nor a dict per matrix entry is ever built: memory is bounded by a
+    few matrix rows, and each distinct entry is rendered once while its
+    text is kept.
     """
     _write_chunks(target, chain(_json_pieces(payload, 0), ("\n",)))
 
@@ -213,7 +204,7 @@ def write_pgm(path, intensity: np.ndarray) -> None:
     intensity = np.asarray(intensity, dtype=float)
     if intensity.ndim != 2:
         raise ValueError(f"intensity must be 2-d, got shape {intensity.shape}")
-    if intensity.min() < 0 or intensity.max() > 1:
+    if not (intensity.min() >= 0 and intensity.max() <= 1):
         raise ValueError("intensity values must lie in [0, 1]")
     height, width = intensity.shape
     pixels = np.round(intensity * 255.0).astype(np.uint8)

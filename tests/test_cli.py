@@ -516,6 +516,8 @@ FOUR_LEVEL_PROGRAM = ('{"dim": 4, "steps": [{"propagate": {"num": 1, "den": 8}},
                       '{"phase_mask": [0.1, 0.2, 0.3, 0.4]}, '
                       '{"propagate": {"num": 1, "den": 8}}]}')
 
+FAR_PROGRAM = json.dumps({"dim": 2, "steps": [{"propagate": {"num": 10**400, "den": 4}}]})
+
 BAD_INPUT = {
     "gate-dim-0": ["gate", "-d", "0"],
     "czgate-dim-1": ["czgate", "-d", "1", "-k", "0"],
@@ -548,6 +550,11 @@ BAD_INPUT = {
     "carpet-program-zeta-min": ["carpet", "--program", "hadamard.json", "--zeta-min", "0",
                                 "--out", "out.pgm"],
     "carpet-free-initial-level": ["carpet", "--initial-level", "7", "--out", "out.pgm"],
+    # the span's width overflows, which would leave NaN rows in the image
+    "carpet-zeta-width-overflow": ["carpet", "--zeta-min", "-1e308", "--zeta-max", "1e308",
+                                   "--out", "out.pgm"],
+    # a valid program whose total distance no float holds
+    "carpet-program-distance-overflow": ["carpet", "--program", "far.json", "--out", "out.pgm"],
     "prepare-theta-inf": ["prepare", "--theta", "inf", "--phi", "0", "--out-prefix", "out"],
     **{
         f"program-{name}": ["carpet", "--program", name, "--out", "out.pgm"]
@@ -564,6 +571,7 @@ def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args):
     (tmp_path / "hadamard.json").write_text(json.dumps(program_to_json(hadamard_program())))
     # slits of ratio 1/2 (the default) at four sites tile the period: rank 3
     (tmp_path / "four-level.json").write_text(FOUR_LEVEL_PROGRAM)
+    (tmp_path / "far.json").write_text(FAR_PROGRAM)
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)

@@ -268,15 +268,26 @@ def test_repeated_entries_render_as_json_dumps_does(matrix):
         assert _streamed(payload) == expected
 
 
+def _distinct_matrix() -> np.ndarray:
+    # 256x256 entries, all distinct but for a first column shared by every
+    # row: each row adds 255 or 256 cell texts to the writer's, which are
+    # cleared every other row
+    rng = np.random.default_rng(0)
+    distinct = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    distinct[:, 0] = 0.5
+    return distinct
+
+
 @pytest.mark.parametrize(
     "matrix",
     [talbot_unitary(dim, q) for dim in range(1, 9) for q in (1, 2 * dim - 1)]
     + [build_cz(dim, control).matrix for dim in (2, 3, 4) for control in range(dim)]
-    + [talbot_unitary(6, 5).T, np.asfortranarray(build_cz(3, 1).matrix)],
+    + [talbot_unitary(6, 5).T, np.asfortranarray(build_cz(3, 1).matrix), _distinct_matrix()],
 )
 def test_gate_and_cz_matrices_render_as_json_dumps_does(matrix):
     # circulant gates and CZ matrices: every row after the first is made of
-    # entries an earlier row holds; the last two are not C-contiguous
+    # entries an earlier row holds; the next two are not C-contiguous, and
+    # the last clears the writer's cell texts as it goes
     payload = {"dim": len(matrix), "entries": matrix}
     expected = _expected_json(payload)
     assert _streamed(payload) == expected
@@ -319,19 +330,15 @@ def test_json_payload_validation():
 
 def test_write_json_memory_is_one_row(tmp_path):
     # the entries as dicts, or the text as one string, would take tens of MB
-    rng = np.random.default_rng(0)
-    # each row shares its first entry with the row before, so every row is
-    # looked up in the last one's cell texts, and all its other entries are
-    # new: texts kept past their row would pile up to the whole matrix
-    distinct = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
-    distinct[:, 0] = 0.5
+    # every row of the distinct matrix adds a row of new cell texts: texts
+    # never cleared would pile up to the whole matrix
     large = {
         # czgate -d 24 -k 5: 20.6 MB, 4 distinct entries
         "czgate-24": (postselected_to_json(build_cz(24, 5)), 20_000_000),
         # gate -d 256 -q 511: 5.8 MB, circulant
         "gate-256-511": ({"kind": "talbot_unitary", "steps": 511, "dim": 256,
                           "entries": talbot_unitary(256, 511)}, 5_000_000),
-        "distinct-256": ({"dim": 256, "entries": distinct}, 5_000_000),
+        "distinct-256": ({"dim": 256, "entries": _distinct_matrix()}, 5_000_000),
     }
     path = tmp_path / "out.json"
     for name, (payload, size) in large.items():
@@ -375,6 +382,10 @@ def test_write_pgm_validation(tmp_path):
         write_pgm(tmp_path / "x.pgm", np.zeros(4))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         write_pgm(tmp_path / "x.pgm", np.array([[2.0]]))
+    # NaN compares false with either bound, so it must not pass the range check
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        write_pgm(tmp_path / "x.pgm", np.array([[0.5, np.nan]]))
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_format_csv_rendering():
