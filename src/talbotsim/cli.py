@@ -291,23 +291,15 @@ def prepare(theta, phi, out_prefix, slit_ratio, truncation, z_steps, x_steps) ->
               help="Write the operator JSON here instead of stdout.")
 def czgate(dim: int, control: int, out: str | None) -> None:
     """Build the post-selected controlled-Z and report its figures of merit."""
-    from .photonpair import build_cz, ideal_cz_matrix, interaction_phase_signature
+    from .photonpair import build_cz, cz_figures_of_merit
     from .serialize import postselected_to_json, write_json
 
     op = build_cz(dim, control)
-    moduli = np.abs(np.diagonal(op.matrix))
-    chi = interaction_phase_signature(op.matrix)
-    chi_ideal = interaction_phase_signature(ideal_cz_matrix(dim, control))
     payload = postselected_to_json(op)
-    payload["modulus_range"] = [float(moduli.min()), float(moduli.max())]
-    payload["success_probability_range"] = [
-        float(op.success_probabilities.min()),
-        float(op.success_probabilities.max()),
-    ]
-    payload["interaction_phase_deviation"] = float(np.abs(chi - chi_ideal).max())
+    payload.update(cz_figures_of_merit(op))
     _emit(out, write_json, payload)
     if out is not None:
-        click.echo(f"success_probability={float(op.success_probabilities.min())!r}")
+        click.echo(f"success_probability={payload['success_probability_range'][0]!r}")
         click.echo(f"interaction_phase_deviation={payload['interaction_phase_deviation']!r}")
         click.echo(f"wrote {out}")
 

@@ -24,6 +24,7 @@ __all__ = [
     "build_cz",
     "ideal_cz_matrix",
     "interaction_phase_signature",
+    "cz_figures_of_merit",
     "schmidt_coefficients",
 ]
 
@@ -107,17 +108,18 @@ def sdbs_mode_map(spec: SDBSSpec) -> np.ndarray:
 class PostSelectedOperator:
     """Coincidence-heralded two-qudit operation (not trace preserving).
 
-    `matrix` maps input coincidence amplitudes (flattened D x D, index
-    d * D + f) to unnormalized output ones; `success_probabilities` lists
-    |column|^2 per basis input.  `local_corrections` are single-path phase
-    masks (alpha on a, beta on b, plus a global angle) that rotate the
-    matrix onto its ideal target; they commute with any later slit-basis
-    processing and are declared rather than physically applied.
+    Each photon keeps its level, so the operation is its D^2 `diagonal`:
+    input coincidence (d, f), index d * D + f, leaves as itself with that
+    unnormalized amplitude.  `matrix` is the dense D^2 x D^2 view, and
+    `success_probabilities` lists |diagonal|^2.  `local_corrections` are
+    single-path phase masks (alpha on a, beta on b, plus a global angle)
+    that rotate it onto its ideal target; they commute with any later
+    slit-basis processing and are declared rather than physically applied.
     """
 
     dim: int
     control_level: int
-    matrix: np.ndarray
+    diagonal: np.ndarray
     success_probabilities: np.ndarray
     path_swap_levels: tuple
     correction_alpha: np.ndarray
@@ -128,27 +130,40 @@ class PostSelectedOperator:
     def path_swap_applied(self) -> bool:
         return len(self.path_swap_levels) > 0
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """np.diag(diagonal), built on each access: 16 D^4 bytes."""
+        return np.diag(self.diagonal)
+
     def corrected_matrix(self) -> np.ndarray:
         """Matrix after the declared local phase corrections."""
         phase = np.exp(1j * self.correction_global) * np.outer(
             np.exp(1j * self.correction_alpha), np.exp(1j * self.correction_beta)
         )
-        return phase.reshape(-1)[:, None] * self.matrix
+        return np.diag(phase.reshape(-1) * self.diagonal)
 
     def apply(self, state_a: np.ndarray, state_b: np.ndarray) -> tuple[np.ndarray, float]:
         """Output coincidence amplitudes and success probability for a product input."""
-        u = np.asarray(state_a, dtype=complex)
-        v = np.asarray(state_b, dtype=complex)
-        out = (self.matrix @ np.kron(u, v)).reshape(self.dim, self.dim)
+        out = (self.diagonal * np.kron(state_a, state_b)).reshape(self.dim, self.dim)
         return out, float(np.linalg.norm(out) ** 2)
 
 
 def ideal_cz_matrix(D: int, k: int) -> np.ndarray:
     """Controlled-Z on levels: phase -1 exactly when both photons sit at k."""
-    D, k = _control(D, k)
-    diag = np.ones(D * D)
-    diag[k * D + k] = -1.0
-    return np.diag(diag)
+    return np.diag(_ideal_cz_diagonal(*_control(D, k)))
+
+
+def _ideal_cz_diagonal(D: int, k: int) -> np.ndarray:
+    return np.where(np.arange(D * D) == k * D + k, -1.0, 1.0)
+
+
+def _relabelled_mode_map(D: int, k: int) -> np.ndarray:
+    """Mode map of control_splitter(D, k), outputs a_d and b_d relabeled for d != k."""
+    U = sdbs_mode_map(control_splitter(D, k))
+    # relabeling the outputs a_d <-> b_d swaps rows d and D + d
+    a = np.array([d for d in range(D) if d != k], dtype=int)
+    U[a], U[D + a] = U[D + a], U[a]
+    return U
 
 
 def build_cz(D: int, k: int) -> PostSelectedOperator:
@@ -160,72 +175,53 @@ def build_cz(D: int, k: int) -> PostSelectedOperator:
     absorbs it into i times the identity), then per-path balancing filters
     whose surviving-amplitude action scales coincidences by t_d on each
     side.  Every basis input succeeds with probability 1/9 and the
-    heralded matrix is diagonal: input (a, d)(b, f) picks up i for each
+    heralded operator is diagonal: input (a, d)(b, f) picks up i for each
     photon on a reflected level and, at d = f = k, the Hong-Ou-Mandel
     factor t_k^2 - r_k^2 = -1/3, so its entry is
     (1/3) i^{[d != k] + [f != k]} (-1)^{[d = f = k]}.  The residual phases
-    are returned as declared local corrections, after which the matrix is
-    exactly (1/3) ideal_cz_matrix(D, k).
+    are returned as declared local corrections, after which the operator
+    is exactly (1/3) ideal_cz_matrix(D, k).
 
-    All D^2 coincident inputs (a, d)(b, f) are evolved at once: with mode
-    map U the coincidence amplitude of output (a, i)(b, j) is
-    U[i, D+f] U[D+j, d] + U[i, d] U[D+j, D+f], the two photon orderings of
-    the symmetric input.  The 1/sqrt(2) of the input state multiplies the
-    path-a factor and the sqrt(2) of post-selection the sum, where the
-    one-state-at-a-time evolution psi -> U psi U^T puts them, so the
-    entries carry the same bits as that route (signed zeros included).
+    Each D x D block of the relabeled mode map U is diagonal, so input
+    (a, d)(b, f) leaves only as itself, with the amplitude of its two
+    photon orderings, U[d, D+f] U[D+f, d] + U[d, d] U[D+f, D+f].  The
+    1/sqrt(2) of the input state multiplies the path-a factor and the
+    sqrt(2) of post-selection the sum, where the per-state evolution
+    psi -> U psi U^T puts them, so the entries carry that route's bits
+    (signed zeros included).  No array is larger than U.
     """
     D, k = _control(D, k)
-    swap_levels = tuple(d for d in range(D) if d != k)
-    U = sdbs_mode_map(control_splitter(D, k))
-    # the path relabeling a_d <-> b_d swaps rows d and D + d of the mode map
-    a = np.array(swap_levels, dtype=int)
-    U[a], U[D + a] = U[D + a], U[a]
+    U = _relabelled_mode_map(D, k)
     filter_t = filter_splitter(D, k).transmission.real
     half = 1.0 / math.sqrt(2.0)
-
-    # coincidence[i, j, d, f]: input (a, d)(b, f) -> output (a, i)(b, j);
-    # the second ordering is added one output row i at a time, so no
-    # temporary is as large as the matrix
-    coincidence = np.einsum("if,jd->ijdf", U[:D, D:] * half, U[D:, :D])
-    direct = U[:D, :D] * half
-    for i in range(D):
-        coincidence[i] += np.einsum("d,jf->jdf", direct[i], U[D:, D:])
-    coincidence *= math.sqrt(2.0)
-    coincidence *= filter_t[:, None, None, None]
-    coincidence *= filter_t[None, :, None, None]
-    matrix = coincidence.reshape(D * D, D * D)
-    # column norms over blocks of D columns: the same sums, with
-    # temporaries of D columns instead of two of the whole matrix
-    success = np.concatenate(
-        [np.linalg.norm(matrix[:, lo:lo + D], axis=0) for lo in range(0, D * D, D)]
-    ) ** 2
-
-    alpha, beta, gamma = _diagonal_corrections(matrix, D, k)
+    # entry (d, f) of each D x D array belongs to input (a, d)(b, f)
+    exchange = (U[:D, D:] * half) * U[D:, :D].T
+    direct = (np.diagonal(U[:D, :D]) * half)[:, None] * np.diagonal(U[D:, D:])
+    diagonal = ((exchange + direct) * math.sqrt(2.0) * filter_t[:, None] * filter_t).reshape(-1)
+    alpha, beta, gamma = _diagonal_corrections(diagonal, D, k)
     return PostSelectedOperator(
         dim=D,
         control_level=k,
-        matrix=matrix,
-        success_probabilities=success,
-        path_swap_levels=swap_levels,
+        diagonal=diagonal,
+        success_probabilities=np.abs(diagonal) ** 2,
+        path_swap_levels=tuple(d for d in range(D) if d != k),
         correction_alpha=alpha,
         correction_beta=beta,
         correction_global=gamma,
     )
 
 
-def _diagonal_corrections(matrix: np.ndarray, D: int, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Phases alpha_d + beta_f + gamma turning diag(matrix) into the CZ pattern.
+def _diagonal_corrections(diagonal: np.ndarray, D: int, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Phases alpha_d + beta_f + gamma turning the diagonal into the CZ pattern.
 
-    Solvable because the interaction signature of the heralded matrix
+    Solvable because the interaction signature of the heralded operator
     already matches the ideal gate; the split uses the d = 0 row/column as
     gauge, target phase pi at (k, k) and 0 elsewhere.
     """
-    diag = np.diagonal(matrix).reshape(D, D)
     target = np.where(
         (np.arange(D)[:, None] == k) & (np.arange(D)[None, :] == k), np.pi, 0.0
     )
-    needed = target - np.angle(diag)
+    needed = target - np.angle(diagonal.reshape(D, D))
     gamma = needed[0, 0]
     alpha = needed[:, 0] - gamma
     beta = needed[0, :] - alpha[0] - gamma
@@ -255,13 +251,34 @@ def interaction_phase_signature(matrix: np.ndarray) -> np.ndarray:
     off_norm = float(np.abs(off_diagonal).max(initial=0.0))
     if off_norm > 1e-10:
         raise ValueError(f"matrix is not diagonal: max off-diagonal {off_norm:.3e} > 1e-10")
-    diagonal = np.diagonal(matrix).astype(complex)
+    return _signature(np.diagonal(matrix))
+
+
+def _signature(diagonal: np.ndarray) -> np.ndarray:
+    # interaction_phase_signature of the operator with this D^2 diagonal
+    diagonal = np.asarray(diagonal, dtype=complex)
     moduli = np.abs(diagonal)
     if moduli.min() <= 0 or (moduli.max() - moduli.min()) / moduli.max() > 1e-8:
         raise ValueError("diagonal moduli must be uniform and nonzero")
+    D = math.isqrt(diagonal.size)
     phases = np.angle(diagonal).reshape(D, D)
-    chi = phases - phases[:, :1] - phases[:1, :] + phases[0, 0]
-    return _wrap(chi)
+    return _wrap(phases - phases[:, :1] - phases[:1, :] + phases[0, 0])
+
+
+def cz_figures_of_merit(op: PostSelectedOperator):
+    """The heralded CZ's figures of merit as (name, value) pairs, in order.
+
+    [min, max] of |diagonal| and of the success probabilities, then
+    max |chi - chi_ideal| against ideal_cz_matrix, all from D^2 values.
+    Each pair is computed when asked for, so the ranges come out before
+    non-uniform moduli make the last one raise ValueError.
+    """
+    moduli = np.abs(op.diagonal)
+    yield "modulus_range", [float(moduli.min()), float(moduli.max())]
+    success = op.success_probabilities
+    yield "success_probability_range", [float(success.min()), float(success.max())]
+    chi_ideal = _signature(_ideal_cz_diagonal(op.dim, op.control_level))
+    yield "interaction_phase_deviation", float(np.abs(_signature(op.diagonal) - chi_ideal).max())
 
 
 def schmidt_coefficients(amplitudes) -> np.ndarray:

@@ -157,6 +157,25 @@ def test_verify_library_error_is_a_failure_not_a_usage_error(runner, monkeypatch
     assert '"value": NaN' in text
 
 
+def test_verify_diagonality_reads_the_mode_map(monkeypatch):
+    # build_cz keeps only the diagonal of each block of the mode map, so a
+    # map that moves a photon to another level is what the row must catch
+    from talbotsim import photonpair
+
+    original = photonpair.sdbs_mode_map
+
+    def leaky(spec):
+        U = original(spec)
+        U[0, 1] = 1e-6
+        return U
+
+    monkeypatch.setattr(photonpair, "sdbs_mode_map", leaky)
+    rows = [c for c in verify.run_suite("czgate")["checks"]
+            if c["name"].startswith("diagonality")]
+    assert len(rows) == 9
+    assert all(not c["passed"] and c["value"] == 1e-6 for c in rows)
+
+
 @pytest.mark.parametrize("error", [ValueError, MemoryError])
 def test_verify_error_ends_its_suite_and_the_next_suites_run(monkeypatch, error):
     original = verify.gate_crosscheck
@@ -699,7 +718,7 @@ def test_stdout_closed_by_the_reader_exits_1_without_a_message():
     assert head == b'{\n  "kind": "talbot_'
 
 
-# Sizes whose arrays no machine holds: czgate's D^4 coincidence tensor
+# Sizes whose arrays no machine holds: czgate's dense D^4 matrix
 # (14.6 TiB) and fidelity's grid (8 TiB).
 ABSURD_SIZES = {
     "czgate-dim-1000": ["czgate", "-d", "1000", "-k", "0"],

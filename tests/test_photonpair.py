@@ -9,6 +9,7 @@ validates both the shortcut and the claim that intermediate post-selection
 is never needed (a photon in a dump path can no longer reach a and b).
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from talbotsim import (
     SDBSSpec,
     build_cz,
     control_splitter,
+    cz_figures_of_merit,
     filter_splitter,
     ideal_cz_matrix,
     interaction_phase_signature,
@@ -113,7 +115,7 @@ def _cz_by_state_evolution(D: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return matrix, np.linalg.norm(matrix, axis=0) ** 2
 
 
-@pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 6, 7, 8])
 def test_build_cz_bitwise_equal_to_per_state_evolution(D):
     for k in range(D):
         op = build_cz(D, k)
@@ -141,17 +143,57 @@ def test_build_cz_matches_closed_form(D, k):
 
 @pytest.mark.parametrize("k", [0, 7, 15])
 def test_build_cz_memory_is_output_sized(k):
-    D = 16
-    tracemalloc.start()
-    try:
-        op = build_cz(D, k)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert op.matrix.shape == (D * D, D * D)
-    # the matrix plus the temporaries of one output row or one block of
-    # columns: 1.27 matrices
-    assert peak < 1.4 * 16 * D**4
+    for D in (16, 48):
+        tracemalloc.start()
+        try:
+            op = build_cz(D, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.diagonal.shape == (D * D,)
+        assert op.matrix.shape == (D * D, D * D)
+        # in units of one complex D^2 vector: the 2D x 2D mode map is 4,
+        # np.block assembles it from two row blocks (4) beside two of its
+        # diagonal blocks (2); 10.1 to 10.5 measured
+        assert peak < 11 * 16 * D**2, (D, peak)
+
+
+def _dense_figures(op) -> dict:
+    """The figures of merit as czgate computed them from the dense matrix."""
+    D, k = op.dim, op.control_level
+    moduli = np.abs(np.diagonal(op.matrix))
+    chi = interaction_phase_signature(op.matrix)
+    chi_ideal = interaction_phase_signature(ideal_cz_matrix(D, k))
+    return {
+        "modulus_range": [float(moduli.min()), float(moduli.max())],
+        "success_probability_range": [
+            float(op.success_probabilities.min()),
+            float(op.success_probabilities.max()),
+        ],
+        "interaction_phase_deviation": float(np.abs(chi - chi_ideal).max()),
+    }
+
+
+@pytest.mark.parametrize(
+    "D,k", [(D, k) for D in range(2, 9) for k in range(D)] + [(24, 0), (24, 5), (24, 23)]
+)
+def test_cz_figures_of_merit_bitwise_equal_to_dense(D, k):
+    op = build_cz(D, k)
+    figures = list(cz_figures_of_merit(op))
+    # repr tells 0.0 from -0.0 and prints every bit of a float
+    assert repr(figures) == repr(list(_dense_figures(op).items()))
+
+
+def test_cz_figures_of_merit_give_the_ranges_before_the_phases_raise():
+    op = build_cz(3, 1)
+    uneven = dataclasses.replace(op, diagonal=op.diagonal * np.arange(1, 10))
+    figures = cz_figures_of_merit(uneven)
+    name, (low, high) = next(figures)
+    assert name == "modulus_range"
+    assert (low, high) == pytest.approx((1 / 3, 3.0))
+    assert next(figures)[0] == "success_probability_range"
+    with pytest.raises(ValueError, match="uniform"):
+        next(figures)
 
 
 @pytest.mark.parametrize("ideal", [False, True], ids=["heralded", "ideal"])
