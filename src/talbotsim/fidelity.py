@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .grating import GratingSpec, ModeField, grating_coefficients
-from .propagation import SampledField, _angular_spectrum, propagate_paraxial
+from .propagation import SampledField, angular_spectrum, propagate_paraxial
 
 __all__ = [
     "FidelityRow",
@@ -84,12 +84,12 @@ def _revival_fidelities(field: SampledField, m_list):
     """Yield (m, fidelity, report) for each m, from one spectrum of field.
 
     Fidelity after m carpet periods (z = 2 m / wavelength in period
-    units).  Every step overwrites one buffer (see _angular_spectrum), so
+    units).  Every step overwrites one buffer (see angular_spectrum), so
     one propagated field lives at a time.
     """
-    propagate = _angular_spectrum(field)
+    report, propagate = angular_spectrum(field)
     for m in m_list:
-        propagated, report = propagate(2.0 * m / field.wavelength)
+        propagated = propagate(2.0 * m / field.wavelength)
         overlap = np.vdot(field.amplitudes, propagated.amplitudes) * field.dx
         yield m, float(abs(overlap) ** 2), report
 

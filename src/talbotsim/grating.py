@@ -6,6 +6,8 @@ A field is represented by complex amplitudes on the plane-wave modes
 exp(2i pi m x), m = -M .. M.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,8 @@ _BLOCK_ENTRIES = 1 << 18
 class GratingSpec:
     """Geometry of a slit grating.
 
-    slit_width: open fraction a of each period, 0 < a <= 1.
+    slit_width: open fraction a of each period, 0 < a <= 1, with pi a^2
+        a normal float (a >= about 8.4e-155).
     mode_truncation: modes -M..M retained in expansions.
     """
 
@@ -40,6 +43,12 @@ class GratingSpec:
     def __post_init__(self):
         if not 0 < self.slit_width <= 1:
             raise ValueError(f"slit_width must be in (0, 1], got {self.slit_width}")
+        # below this a * sin(pi m a) is subnormal: the mode amplitudes lose
+        # digits, then read 0 and finally NaN for every m != 0
+        if math.pi * self.slit_width**2 < sys.float_info.min:
+            raise ValueError(
+                f"slit_width {self.slit_width} is too small: pi * slit_width^2 underflows"
+            )
         # mode counts index the modes -M..M, so only integers make sense
         object.__setattr__(
             self, "mode_truncation", _integer(self.mode_truncation, "mode_truncation")

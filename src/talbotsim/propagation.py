@@ -26,7 +26,7 @@ __all__ = [
     "gate_crosscheck",
     "SampledField",
     "PropagationReport",
-    "propagate_angular_spectrum",
+    "angular_spectrum",
 ]
 
 # Fractions with larger denominators carry no physical meaning and take the
@@ -255,11 +255,6 @@ class SampledField:
     def dx(self) -> float:
         return self.extent / len(self.amplitudes)
 
-    @property
-    def x(self) -> np.ndarray:
-        n = len(self.amplitudes)
-        return (np.arange(n) - n // 2) * self.dx
-
     def norm(self) -> float:
         norm = float(np.linalg.norm(self.amplitudes) * math.sqrt(self.dx))
         if norm == 0 and self.amplitudes.any():
@@ -291,21 +286,31 @@ class SampledField:
 
 @dataclass(frozen=True)
 class PropagationReport:
-    """Diagnostics of one angular-spectrum step."""
+    """Diagnostics of the angular-spectrum steps of one field, at any distance."""
 
-    distance: float
     dropped_norm_fraction: float
     evanescent_mode_count: int
     aliasing_risk: bool
     grid_spacing_over_quarter_wavelength: float
 
 
-def _angular_spectrum(field: SampledField):
-    """The z-independent half of propagate_angular_spectrum, done once.
+def angular_spectrum(field: SampledField):
+    """Exact scalar propagation of `field`: (report, propagate).
 
-    Runs the forward FFT, the power sums, the evanescent and Nyquist masks
-    and k_z, and returns propagate(z) -> (SampledField, PropagationReport),
-    which applies only the z-dependent phase and the inverse FFT.
+    propagate(z) returns the field propagated by distance z (same length
+    units as extent).  Each spatial frequency kx advances by
+    exp(i z sqrt(k^2 - kx^2)); evanescent components (|kx| > k) are dropped
+    and the lost norm fraction reported.  `aliasing_risk` flags spectral
+    energy within 10% of the Nyquist edge, where the periodic grid no
+    longer represents free space faithfully.  A grid spacing at or below a
+    quarter wavelength resolves every propagating frequency; coarser grids
+    remain exact for fields that are band-limited well inside the Nyquist
+    window, so the spacing ratio is reported rather than enforced.  None of
+    the report depends on z.
+
+    The z-independent half runs here, once: the forward FFT, the power
+    sums, the evanescent and Nyquist masks and k_z.  propagate(z) applies
+    only the z-dependent phase and the inverse FFT.
 
     fftfreq negates exactly, so k_z[n - j] == k_z[j] bit for bit, and |kx|
     grows with j up to the Nyquist bin n/2: the propagating bins are the
@@ -325,23 +330,25 @@ def _angular_spectrum(field: SampledField):
     total_power = float(np.abs(spectrum) ** 2 @ np.ones(n))
     evanescent = np.abs(kx) > k
     dropped = float((np.abs(spectrum[evanescent]) ** 2).sum())
-    dropped_fraction = dropped / total_power if total_power > 0 else 0.0
 
     nyquist = np.pi / dx
     near_edge = np.abs(kx) >= 0.9 * nyquist
     edge_power = float((np.abs(spectrum[near_edge]) ** 2).sum())
-    aliasing = bool(total_power > 0 and edge_power / total_power > 1e-12)
 
-    evanescent_count = int(evanescent.sum())
+    report = PropagationReport(
+        dropped_norm_fraction=dropped / total_power if total_power > 0 else 0.0,
+        evanescent_mode_count=int(evanescent.sum()),
+        aliasing_risk=bool(total_power > 0 and edge_power / total_power > 1e-12),
+        grid_spacing_over_quarter_wavelength=float(dx / (field.wavelength / 4.0)),
+    )
     kept = n // 2 + 1 - int(evanescent[: n // 2 + 1].sum())
     mirror = n - kept + 1
     kz = np.sqrt(np.maximum(k**2 - kx[:kept] ** 2, 0.0))
-    spacing_ratio = float(dx / (field.wavelength / 4.0))
     # the full-length setup arrays go before the buffer comes
     del kx, evanescent, near_edge
     propagated = np.empty(n, dtype=complex)
 
-    def propagate(z: float) -> tuple[SampledField, PropagationReport]:
+    def propagate(z: float) -> SampledField:
         phase = 1j * z * kz
         np.exp(phase, out=phase)
         # phase first, straight into the buffer: complex products round by
@@ -355,31 +362,6 @@ def _angular_spectrum(field: SampledField):
         # the previous call's inverse FFT filled the gap
         propagated[kept:mirror] = 0
         np.fft.ifft(propagated, out=propagated)
-        out = SampledField(propagated.view(), field.extent, field.wavelength)
-        report = PropagationReport(
-            distance=float(z),
-            dropped_norm_fraction=dropped_fraction,
-            evanescent_mode_count=evanescent_count,
-            aliasing_risk=aliasing,
-            grid_spacing_over_quarter_wavelength=spacing_ratio,
-        )
-        return out, report
+        return SampledField(propagated.view(), field.extent, field.wavelength)
 
-    return propagate
-
-
-def propagate_angular_spectrum(
-    field: SampledField, z: float
-) -> tuple[SampledField, PropagationReport]:
-    """Exact scalar propagation by distance z (same length units as extent).
-
-    Each spatial frequency kx advances by exp(i z sqrt(k^2 - kx^2));
-    evanescent components (|kx| > k) are dropped and the lost norm fraction
-    reported.  `aliasing_risk` flags spectral energy within 10% of the
-    Nyquist edge, where the periodic grid no longer represents free space
-    faithfully.  A grid spacing at or below a quarter wavelength resolves
-    every propagating frequency; coarser grids remain exact for fields that
-    are band-limited well inside the Nyquist window, so the spacing ratio
-    is reported rather than enforced.
-    """
-    return _angular_spectrum(field)(z)
+    return report, propagate

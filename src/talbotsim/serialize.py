@@ -6,13 +6,13 @@ no timestamps or environment details are embedded.  A JSON payload holds
 each matrix as a square ndarray (matrix_to_json, postselected_to_json);
 write_json writes json.dumps(..., indent=2) of the payload with each
 matrix spelled out as rows of {"re", "im"} cells.  JSON and CSV go to a
-path or a text stream a piece at a time (a matrix row, a block of CSV
-rows), so no writer holds the whole text in memory.  A matrix cell is
-rendered once while its text is kept (a few rows of texts at most) and
-reused for every later entry with the same bytes, so a circulant gate or
-a CZ matrix renders few of its floats.  A CSV block renders each distinct
-float of a column once, so a carpet's coordinates are not rendered again
-on every row.
+path or a text stream a piece at a time (at most 512 cells of a matrix
+row, a block of CSV rows), so no writer holds the whole text in memory.
+A matrix cell is rendered once while its text is kept (a few rows of
+texts at most) and reused for every later entry with the same bytes, so
+a circulant gate or a CZ matrix renders few of its floats.  A CSV block
+renders each distinct float of a column once, so a carpet's coordinates
+are not rendered again on every row.
 """
 
 import json
@@ -26,7 +26,6 @@ from .programs import OpticalProgram, PhaseMask, Propagate
 
 __all__ = [
     "matrix_to_json",
-    "matrix_from_json",
     "program_to_json",
     "program_from_json",
     "postselected_to_json",
@@ -54,21 +53,6 @@ def _json_integer(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     return _integer(value, name)
-
-
-def matrix_from_json(payload: dict) -> np.ndarray:
-    """Matrix of parsed matrix_to_json JSON text; a malformed payload raises ValueError."""
-    try:
-        dim = _json_integer(payload["dim"], "dim")
-        if dim < 0:
-            raise ValueError(f"dim must be >= 0, got {dim}")
-        entries = payload["entries"]
-        if len(entries) != dim or any(len(row) != dim for row in entries):
-            raise ValueError(f"entries do not form a {dim}x{dim} matrix")
-        cells = [complex(cell["re"], cell["im"]) for row in entries for cell in row]
-    except (KeyError, TypeError) as error:
-        raise ValueError(f"malformed matrix: {type(error).__name__}: {error}") from error
-    return np.array(cells, dtype=complex).reshape(dim, dim)
 
 
 def program_to_json(program: OpticalProgram) -> dict:
@@ -145,6 +129,12 @@ def _json_pieces(value, level: int):
         yield json.dumps(value)
 
 
+# Cells per piece of a matrix row: about 32 kB of text, under glibc's
+# 128 KiB mmap threshold, so a long row (143 kB at czgate -d 48) is not
+# mapped and unmapped again for every row.
+_ROW_PIECE_CELLS = 512
+
+
 def _matrix_pieces(matrix: np.ndarray, outer: str):
     # A Talbot gate is circulant and a CZ matrix nearly all zeros, so most
     # rows hold only entries an earlier row rendered.  Cell texts are kept in
@@ -176,8 +166,12 @@ def _matrix_pieces(matrix: np.ndarray, outer: str):
                 if key not in texts:
                     texts[key] = (f'{field_indent}"re": {render(entry.real)},'
                                   f'{field_indent}"im": {render(entry.imag)}{cell_indent}')
-            cells = map(texts.__getitem__, keys)
-        yield ("[" if index == 0 else ",") + row_indent + head + between.join(cells) + tail
+            cells = list(map(texts.__getitem__, keys))
+        opening = ("[" if index == 0 else ",") + row_indent + head
+        for lo in range(0, dim, _ROW_PIECE_CELLS):
+            yield opening + between.join(cells[lo:lo + _ROW_PIECE_CELLS])
+            opening = between
+        yield tail
     yield outer + "]"
 
 

@@ -16,7 +16,6 @@ from talbotsim import (
     build_cz,
     fidelity,
     hadamard_program,
-    matrix_from_json,
     program_from_json,
     program_to_json,
     talbot_unitary,
@@ -32,6 +31,11 @@ def runner():
     return CliRunner()
 
 
+def _cells(matrix) -> list:
+    """The [[{"re", "im"}]] rows json.dumps would write for a complex matrix."""
+    return [[{"re": z.real, "im": z.imag} for z in row] for row in matrix.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # gate
 # ---------------------------------------------------------------------------
@@ -43,7 +47,7 @@ def test_gate_stdout_matches_library(runner):
     payload = json.loads(result.output)
     assert payload["kind"] == "talbot_unitary"
     assert payload["steps"] == 2
-    assert np.abs(matrix_from_json(payload) - talbot_unitary(3, 2)).max() == 0.0
+    assert payload["entries"] == _cells(talbot_unitary(3, 2))
 
 
 def test_gate_out_file_equals_stdout(runner, tmp_path):
@@ -476,7 +480,7 @@ def test_czgate_stdout_payload(runner):
     assert abs(lo - 1 / 9) < 1e-12 and abs(hi - 1 / 9) < 1e-12
     assert payload["interaction_phase_deviation"] < 1e-9
     op = build_cz(3, 1)
-    assert np.abs(matrix_from_json(payload["matrix"]) - op.matrix).max() < 1e-15
+    assert payload["matrix"]["entries"] == _cells(op.matrix)
 
 
 def _stdout_and_out_bytes(runner, tmp_path, args) -> bytes:
@@ -558,6 +562,11 @@ BAD_INPUT = {
                                  "--m-max", "2"],
     "fidelity-wavelength-subnormal": ["fidelity", "--wavelength", "1e-320", "--n-x", "1024",
                                       "--m-max", "2"],
+    # pi * slit_width^2 underflows, so the mode amplitudes are subnormal: the
+    # fidelity read the bare-Gaussian value, the carpet NaN intensities
+    "fidelity-slit-ratio-tiny": ["fidelity", "--slit-ratio", "1e-200", "--n-x", "1024",
+                                 "--m-max", "2"],
+    "carpet-slit-ratio-subnormal": ["carpet", "--slit-ratio", "1e-320", "--out", "out.pgm"],
     "carpet-wavelength": ["carpet", "--wavelength", "0.37", "--out", "out.pgm"],
     "prepare-wavelength": ["prepare", "--theta", "0.8", "--phi", "1.1", "--wavelength", "0.37",
                            "--out-prefix", "out"],
@@ -597,6 +606,17 @@ def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args):
     assert "Error:" in result.output
     assert "Traceback" not in result.output
     assert not any(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("name", ["fidelity-slit-ratio-tiny", "carpet-slit-ratio-subnormal"])
+def test_slit_ratio_whose_amplitudes_underflow_is_named(runner, tmp_path, monkeypatch, name):
+    # without the bound, fidelity exited 0 with the bare-Gaussian fidelity
+    # and carpet failed later, on NaN intensities
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, BAD_INPUT[name])
+    assert result.exit_code == 2
+    ratio = BAD_INPUT[name][2]
+    assert f"slit_width {ratio} is too small: pi * slit_width^2 underflows" in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,21 @@ def test_spec_validation():
         GratingSpec(mode_truncation=0)
 
 
+@pytest.mark.parametrize("a", [8.3e-155, 1e-156, 1e-160, 1e-170, 1e-200, 1e-310, 5e-324])
+def test_slit_widths_whose_amplitudes_underflow_are_refused(a):
+    # a * sin(pi m a) would be subnormal: |A_1| / a - 1 read -4.2e-13 at
+    # 1e-156 and 5.4e-5 at 1e-160, every m != 0 amplitude read 0 at 1e-170
+    # and NaN at 1e-310
+    with pytest.raises(ValueError, match=f"slit_width {a} is too small"):
+        GratingSpec(slit_width=a)
+
+
+@pytest.mark.parametrize("a", [1e-150, 8.5e-155])
+def test_the_smallest_slit_widths_keep_exact_amplitudes(a):
+    coefficients = grating_coefficients(GratingSpec(slit_width=a, mode_truncation=4)).coefficients
+    assert np.abs(np.abs(coefficients) / a - 1.0).max() == 0.0
+
+
 @pytest.mark.parametrize("bad", [2.5, float("nan"), True])
 def test_mode_counts_must_be_integers(bad):
     with pytest.raises(ValueError, match="must be an integer"):

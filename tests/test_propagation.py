@@ -17,13 +17,13 @@ from talbotsim import (
     PhaseMask,
     Propagate,
     SampledField,
+    angular_spectrum,
     compile_program,
     gate_crosscheck,
     gauss_coefficients,
     grating_coefficients,
     hadamard_program,
     prepare_bloch_state,
-    propagate_angular_spectrum,
     propagate_paraxial,
     replica_decompose,
     synthesize_gaussian_comb,
@@ -32,7 +32,6 @@ from talbotsim import (
 )
 from talbotsim.propagation import (
     _MAX_EXACT_DENOMINATOR,
-    _angular_spectrum,
     _paraxial_phases,
     _slit_basis,
     _walk,
@@ -283,7 +282,6 @@ def test_sampled_field_validation():
             SampledField(np.ones(64), extent=1.0, wavelength=tiny)
     field = SampledField(np.ones(64), extent=32.0, wavelength=0.01)
     assert field.dx == 0.5
-    assert field.x[32] == 0.0
     assert abs(field.norm() - np.sqrt(64 * 0.5)) < 1e-12
 
 
@@ -292,7 +290,8 @@ def test_angular_spectrum_zero_distance_identity():
     rng = np.random.default_rng(5)
     amplitudes = rng.normal(size=256) + 1j * rng.normal(size=256)
     field = SampledField(amplitudes, extent=16.0, wavelength=0.25)
-    out, report = propagate_angular_spectrum(field, 0.0)
+    report, propagate = angular_spectrum(field)
+    out = propagate(0.0)
     assert report.dropped_norm_fraction > 0.0
     assert report.evanescent_mode_count > 0
     kept = out.norm() ** 2 / field.norm() ** 2
@@ -302,7 +301,8 @@ def test_angular_spectrum_zero_distance_identity():
 def test_angular_spectrum_plane_wave_phase():
     n = 1024
     field = SampledField(np.ones(n), extent=64.0, wavelength=0.01)
-    out, report = propagate_angular_spectrum(field, 3.0)
+    report, propagate = angular_spectrum(field)
+    out = propagate(3.0)
     expected = cmath.exp(2j * cmath.pi / 0.01 * 3.0)
     assert np.abs(out.amplitudes - expected).max() < 1e-10
     assert report.dropped_norm_fraction == 0.0
@@ -321,7 +321,8 @@ def test_angular_spectrum_norm_conserved_when_band_limited():
         extent=extent,
         wavelength=0.05,
     )
-    out, report = propagate_angular_spectrum(field, 7.5)
+    report, propagate = angular_spectrum(field)
+    out = propagate(7.5)
     assert report.dropped_norm_fraction < 1e-20
     assert abs(out.norm() - field.norm()) < 1e-10
 
@@ -333,16 +334,16 @@ def test_angular_spectrum_aliasing_flag():
     nyquist_frequency = n / (2 * extent)
     risky = np.exp(2j * np.pi * 0.97 * nyquist_frequency * x)
     field = SampledField(risky, extent=extent, wavelength=1e-4)
-    _, report = propagate_angular_spectrum(field, 1.0)
+    report, _ = angular_spectrum(field)
     assert report.aliasing_risk is True
     smooth = SampledField(np.exp(-(x**2)), extent=extent, wavelength=1e-4)
-    _, report_smooth = propagate_angular_spectrum(smooth, 1.0)
+    report_smooth, _ = angular_spectrum(smooth)
     assert report_smooth.aliasing_risk is False
 
 
 def test_angular_spectrum_reports_grid_spacing_ratio():
     field = SampledField(np.ones(64), extent=64.0, wavelength=0.5)
-    _, report = propagate_angular_spectrum(field, 1.0)
+    report, _ = angular_spectrum(field)
     # dx = 1.0, quarter wavelength = 0.125
     assert abs(report.grid_spacing_over_quarter_wavelength - 8.0) < 1e-12
 
@@ -353,13 +354,12 @@ def test_one_spectrum_serves_every_distance_bitwise():
     rng = np.random.default_rng(11)
     amplitudes = rng.normal(size=512) + 1j * rng.normal(size=512)
     field = SampledField(amplitudes, extent=32.0, wavelength=0.1)
-    propagate = _angular_spectrum(field)
+    report, propagate = angular_spectrum(field)
     for z in (40.0, 0.0, 3.5, 40.0):
-        out, report = propagate(z)
-        fresh, fresh_report = propagate_angular_spectrum(field, z)
-        assert out.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+        out = propagate(z)
+        fresh_report, fresh = angular_spectrum(field)
+        assert out.amplitudes.tobytes() == fresh(z).amplitudes.tobytes()
         assert report == fresh_report
-        assert report.distance == z
 
 
 def test_consecutive_steps_each_match_a_fresh_propagation_bitwise():
@@ -367,15 +367,15 @@ def test_consecutive_steps_each_match_a_fresh_propagation_bitwise():
     # each call must rewrite all of it, the evanescent gap included.  A
     # returned field is a read-only view, valid until the next call.
     field = _random_field(1024, 0.3)  # bins -53..53 propagate
-    propagate = _angular_spectrum(field)
+    report, propagate = angular_spectrum(field)
+    assert report.evanescent_mode_count == 917
     for first, second in ((3.5, 200.0), (200.0, 200.0)):
-        out, _ = propagate(first)
+        out = propagate(first)
         kept = out.amplitudes.copy()
         assert not out.amplitudes.flags.writeable
-        again, report = propagate(second)
-        assert report.evanescent_mode_count == 917
-        assert kept.tobytes() == propagate_angular_spectrum(field, first)[0].amplitudes.tobytes()
-        assert again.amplitudes.tobytes() == propagate_angular_spectrum(field, second)[0].amplitudes.tobytes()
+        again = propagate(second)
+        assert kept.tobytes() == angular_spectrum(field)[1](first).amplitudes.tobytes()
+        assert again.amplitudes.tobytes() == angular_spectrum(field)[1](second).amplitudes.tobytes()
 
 
 def test_normalizing_tiny_samples_scales_past_the_underflow():
@@ -415,11 +415,11 @@ def _random_field(n: int, wavelength: float) -> SampledField:
 
 
 def _assert_matches_dense_reference(field: SampledField, evanescent: int) -> None:
-    propagate = _angular_spectrum(field)
+    report, propagate = angular_spectrum(field)
+    assert report.evanescent_mode_count == evanescent
     for z in (200.0, 0.0, 3.5, 2000.0, 200.0):
-        out, report = propagate(z)
+        out = propagate(z)
         assert out.amplitudes.tobytes() == _dense_angular_spectrum(field, z).tobytes()
-        assert report.evanescent_mode_count == evanescent
 
 
 @pytest.mark.parametrize(
@@ -451,12 +451,12 @@ def test_one_angular_spectrum_step_allocates_about_one_field():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        propagate = _angular_spectrum(field)
+        report, propagate = angular_spectrum(field)
         held = tracemalloc.get_traced_memory()[0] - start
         propagate(1.0)
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        out, report = propagate(2.0)
+        out = propagate(2.0)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -483,7 +483,7 @@ def test_angular_spectrum_converges_to_paraxial_mode_phases():
     deviations = []
     for lam in (0.02, 0.01, 0.005):
         field = SampledField(samples, extent=extent, wavelength=lam)
-        out, _ = propagate_angular_spectrum(field, z)
+        out = angular_spectrum(field)[1](z)
         paraxial = propagate_paraxial(comb, z * lam / 2.0)
         reference = paraxial.evaluate(x) * cmath.exp(2j * cmath.pi * z / lam)
         deviations.append(np.abs(out.amplitudes - reference).max())
