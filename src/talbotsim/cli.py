@@ -60,14 +60,17 @@ class _LibraryCommand(click.Command):
     its checks; this is the one place where its errors meet the CLI.  A
     MemoryError is a size whose arrays this machine cannot allocate, and
     NumPy's message ("Unable to allocate 8.00 TiB for an array with shape
-    ...") says which.
+    ...") says which; Python's own, from `tuple(range(10**11))`, is blank.
     """
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ValueError, MemoryError) as error:
+        except ValueError as error:
             raise click.UsageError(str(error), ctx) from error
+        except MemoryError as error:
+            message = str(error) or "Unable to allocate memory for this size"
+            raise click.UsageError(message, ctx) from error
 
 
 @click.group()
@@ -198,7 +201,9 @@ def verify(suite: str, json_out: str | None) -> None:
 def fidelity(n_slits, m_max, slit_ratio, wavelength, truncation, n_x, extent_factor,
              periodic_control, out) -> None:
     """Tabulate revival fidelity against envelope width."""
-    from .fidelity import fidelity_sweep
+    from dataclasses import astuple, fields
+
+    from .fidelity import FidelityRow, fidelity_sweep
     from .serialize import write_csv
 
     try:
@@ -224,18 +229,8 @@ def fidelity(n_slits, m_max, slit_ratio, wavelength, truncation, n_x, extent_fac
         "n_x": n_x,
         "extent_factor": extent_factor,
     }
-    _emit(
-        out,
-        write_csv,
-        ["n_slits", "talbot_periods", "fidelity", "dropped_norm_fraction",
-         "aliasing_risk", "periodic_control"],
-        (
-            (r.n_slits, r.talbot_periods, r.fidelity, r.dropped_norm_fraction,
-             r.aliasing_risk, r.periodic_control)
-            for r in rows
-        ),
-        metadata,
-    )
+    header = [field.name for field in fields(FidelityRow)]
+    _emit(out, write_csv, header, (astuple(row) for row in rows), metadata)
     if out is not None:
         click.echo(f"wrote {out}")
 

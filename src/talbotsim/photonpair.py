@@ -110,25 +110,42 @@ class PostSelectedOperator:
 
     Each photon keeps its level, so the operation is its D^2 `diagonal`:
     input coincidence (d, f), index d * D + f, leaves as itself with that
-    unnormalized amplitude.  `matrix` is the dense D^2 x D^2 view, and
-    `success_probabilities` lists |diagonal|^2.  `local_corrections` are
-    single-path phase masks (alpha on a, beta on b, plus a global angle)
-    that rotate it onto its ideal target; they commute with any later
-    slit-basis processing and are declared rather than physically applied.
+    unnormalized amplitude.  Everything else is read from it: `matrix` is
+    the dense D^2 x D^2 view, `success_probabilities` lists |diagonal|^2,
+    and the `correction_*` values are single-path phase masks (alpha on a,
+    beta on b, plus a global angle) that rotate it onto its ideal target;
+    they commute with any later slit-basis processing and are declared
+    rather than physically applied.  `path_swap_levels` are the levels
+    whose outputs a_d and b_d the construction relabels, all but k.
     """
 
     dim: int
     control_level: int
     diagonal: np.ndarray
-    success_probabilities: np.ndarray
-    path_swap_levels: tuple
-    correction_alpha: np.ndarray
-    correction_beta: np.ndarray
-    correction_global: float
+
+    @property
+    def success_probabilities(self) -> np.ndarray:
+        return np.abs(self.diagonal) ** 2
+
+    @property
+    def path_swap_levels(self) -> tuple:
+        return tuple(d for d in range(self.dim) if d != self.control_level)
 
     @property
     def path_swap_applied(self) -> bool:
         return len(self.path_swap_levels) > 0
+
+    @property
+    def correction_alpha(self) -> np.ndarray:
+        return _diagonal_corrections(self.diagonal, self.dim, self.control_level)[0]
+
+    @property
+    def correction_beta(self) -> np.ndarray:
+        return _diagonal_corrections(self.diagonal, self.dim, self.control_level)[1]
+
+    @property
+    def correction_global(self) -> float:
+        return _diagonal_corrections(self.diagonal, self.dim, self.control_level)[2]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -137,9 +154,8 @@ class PostSelectedOperator:
 
     def corrected_matrix(self) -> np.ndarray:
         """Matrix after the declared local phase corrections."""
-        phase = np.exp(1j * self.correction_global) * np.outer(
-            np.exp(1j * self.correction_alpha), np.exp(1j * self.correction_beta)
-        )
+        alpha, beta, gamma = _diagonal_corrections(self.diagonal, self.dim, self.control_level)
+        phase = np.exp(1j * gamma) * np.outer(np.exp(1j * alpha), np.exp(1j * beta))
         return np.diag(phase.reshape(-1) * self.diagonal)
 
     def apply(self, state_a: np.ndarray, state_b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -155,15 +171,6 @@ def ideal_cz_matrix(D: int, k: int) -> np.ndarray:
 
 def _ideal_cz_diagonal(D: int, k: int) -> np.ndarray:
     return np.where(np.arange(D * D) == k * D + k, -1.0, 1.0)
-
-
-def _relabelled_mode_map(D: int, k: int) -> np.ndarray:
-    """Mode map of control_splitter(D, k), outputs a_d and b_d relabeled for d != k."""
-    U = sdbs_mode_map(control_splitter(D, k))
-    # relabeling the outputs a_d <-> b_d swaps rows d and D + d
-    a = np.array([d for d in range(D) if d != k], dtype=int)
-    U[a], U[D + a] = U[D + a], U[a]
-    return U
 
 
 def build_cz(D: int, k: int) -> PostSelectedOperator:
@@ -182,33 +189,29 @@ def build_cz(D: int, k: int) -> PostSelectedOperator:
     are returned as declared local corrections, after which the operator
     is exactly (1/3) ideal_cz_matrix(D, k).
 
-    Each D x D block of the relabeled mode map U is diagonal, so input
-    (a, d)(b, f) leaves only as itself, with the amplitude of its two
-    photon orderings, U[d, D+f] U[D+f, d] + U[d, d] U[D+f, D+f].  The
+    The splitter mixes a_d only with b_d, so input (a, d)(b, f) leaves
+    only as itself, with the amplitude of its two photon orderings: both
+    photons stay, (own_d / sqrt(2)) own_f, or, when d = f, both cross,
+    (cross_d / sqrt(2)) cross_d.  The relabeling picks which of t_d and
+    i r_d is `own`: i r_d on the relabeled levels, t_k at k.  The
     1/sqrt(2) of the input state multiplies the path-a factor and the
     sqrt(2) of post-selection the sum, where the per-state evolution
-    psi -> U psi U^T puts them, so the entries carry that route's bits
-    (signed zeros included).  No array is larger than U.
+    psi -> U psi U^T of the mode map U puts them, so the entries carry
+    that route's bits (signed zeros included).  No array is larger than
+    the diagonal.
     """
     D, k = _control(D, k)
-    U = _relabelled_mode_map(D, k)
+    splitter = control_splitter(D, k)
+    t, ir = splitter.transmission, 1j * splitter.reflection
+    relabeled = np.arange(D) != k
+    own, cross = np.where(relabeled, ir, t), np.where(relabeled, t, ir)
     filter_t = filter_splitter(D, k).transmission.real
     half = 1.0 / math.sqrt(2.0)
     # entry (d, f) of each D x D array belongs to input (a, d)(b, f)
-    exchange = (U[:D, D:] * half) * U[D:, :D].T
-    direct = (np.diagonal(U[:D, :D]) * half)[:, None] * np.diagonal(U[D:, D:])
+    exchange = np.diag((cross * half) * cross)
+    direct = (own * half)[:, None] * own
     diagonal = ((exchange + direct) * math.sqrt(2.0) * filter_t[:, None] * filter_t).reshape(-1)
-    alpha, beta, gamma = _diagonal_corrections(diagonal, D, k)
-    return PostSelectedOperator(
-        dim=D,
-        control_level=k,
-        diagonal=diagonal,
-        success_probabilities=np.abs(diagonal) ** 2,
-        path_swap_levels=tuple(d for d in range(D) if d != k),
-        correction_alpha=alpha,
-        correction_beta=beta,
-        correction_global=gamma,
-    )
+    return PostSelectedOperator(dim=D, control_level=k, diagonal=diagonal)
 
 
 def _diagonal_corrections(diagonal: np.ndarray, D: int, k: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -183,7 +183,11 @@ class CrosscheckResult:
     steps: int
     max_deviation: float
     max_projection_residual: float
-    certified: bool
+
+    @property
+    def certified(self) -> bool:
+        """Every entry within 1e-6 and every projection residual within 1e-4."""
+        return bool(self.max_deviation <= 1e-6 and self.max_projection_residual <= 1e-4)
 
 
 def gate_crosscheck(
@@ -211,13 +215,7 @@ def gate_crosscheck(
     reconstructed = np.column_stack([weights for _, _, weights, _ in walks])
     max_residual = max(residual for _, _, _, residual in walks)
     deviation = float(np.abs(reconstructed - talbot_unitary(D, q)).max())
-    return CrosscheckResult(
-        dim=D,
-        steps=q,
-        max_deviation=deviation,
-        max_projection_residual=max_residual,
-        certified=bool(deviation <= 1e-6 and max_residual <= 1e-4),
-    )
+    return CrosscheckResult(D, q, deviation, max_residual)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,12 @@ from .gates import (
 )
 from .gauss import gauss_coefficients
 from .photonpair import (
-    _relabelled_mode_map,
     build_cz,
+    control_splitter,
     cz_figures_of_merit,
     ideal_cz_matrix,
     schmidt_coefficients,
+    sdbs_mode_map,
 )
 from .programs import compile_program, hadamard_program
 from .propagation import gate_crosscheck
@@ -104,8 +105,9 @@ def _czgate():
             yield (f"success 1/9 D={D} k={k}",
                    max(abs(p - 1.0 / 9.0) for p in next(figures)[1]), 1e-10)
             # build_cz keeps only the diagonal of each D x D block of the
-            # mode map, which is exact when every other entry is 0
-            U = _relabelled_mode_map(D, k)
+            # mode map, which is exact when every other entry is 0; its
+            # relabeling swaps rows of one level, so it moves none of them
+            U = sdbs_mode_map(control_splitter(D, k))
             level = np.arange(2 * D) % D
             yield (f"diagonality D={D} k={k}",
                    np.abs(U[level[:, None] != level]).max(), 1e-10)

@@ -100,27 +100,19 @@ def test_verify_unknown_suite_is_usage_error(runner):
     assert result.exit_code == 2
 
 
-def _flipped_mode_map(monkeypatch, blocks):
-    """Patch the splitter so the given off-diagonal blocks carry -i r, not i r."""
-    from talbotsim import photonpair
-
-    original = photonpair.sdbs_mode_map
-
-    def flipped(spec):
-        U = original(spec)
-        D = spec.dim
-        for rows, columns in blocks:
-            U[rows * D:(rows + 1) * D, columns * D:(columns + 1) * D] *= -1
-        return U
-
-    monkeypatch.setattr(photonpair, "sdbs_mode_map", flipped)
-
-
 def test_verify_fails_on_a_unitary_reflection_sign_flip(runner, monkeypatch):
-    # -i r in both off-diagonal blocks is still unitary, and every
+    # a control splitter with -r in place of r is still unitary, and every
     # figure of merit taken up to local phases still passes; only the
     # closed form sees the sign
-    _flipped_mode_map(monkeypatch, [(0, 1), (1, 0)])
+    from talbotsim import photonpair
+
+    original = photonpair.control_splitter
+
+    def flipped(D, k):
+        spec = original(D, k)
+        return photonpair.SDBSSpec(D, spec.transmission, -spec.reflection)
+
+    monkeypatch.setattr(photonpair, "control_splitter", flipped)
     result = verify.run_suite("czgate")
     assert not result["all_passed"]
     closed = [c for c in result["checks"] if c["name"].startswith("closed form")]
@@ -130,10 +122,16 @@ def test_verify_fails_on_a_unitary_reflection_sign_flip(runner, monkeypatch):
 
 
 def test_verify_library_error_is_a_failure_not_a_usage_error(runner, monkeypatch, tmp_path):
-    # negating one off-diagonal block breaks unitarity, and the czgate
-    # suite raises inside the library: verify takes no input to blame, so
-    # the error is the suite's last, failed record and the other suites run
-    _flipped_mode_map(monkeypatch, [(1, 0)])
+    # a filter that attenuates level k too leaves moduli that differ by
+    # input, and the czgate suite raises inside the library: verify takes
+    # no input to blame, so the error is the suite's last, failed record
+    # and the other suites run
+    from talbotsim import photonpair
+
+    def unbalanced(D, k):
+        return photonpair.SDBSSpec(D, np.full(D, 3 ** -0.5), np.full(D, (2 / 3) ** 0.5))
+
+    monkeypatch.setattr(photonpair, "filter_splitter", unbalanced)
     report = tmp_path / "report.json"
     for args in ([], ["--suite", "czgate"], ["--json-out", str(report)]):
         result = runner.invoke(main, ["verify", *args])
@@ -164,16 +162,14 @@ def test_verify_library_error_is_a_failure_not_a_usage_error(runner, monkeypatch
 def test_verify_diagonality_reads_the_mode_map(monkeypatch):
     # build_cz keeps only the diagonal of each block of the mode map, so a
     # map that moves a photon to another level is what the row must catch
-    from talbotsim import photonpair
-
-    original = photonpair.sdbs_mode_map
+    original = verify.sdbs_mode_map
 
     def leaky(spec):
         U = original(spec)
         U[0, 1] = 1e-6
         return U
 
-    monkeypatch.setattr(photonpair, "sdbs_mode_map", leaky)
+    monkeypatch.setattr(verify, "sdbs_mode_map", leaky)
     rows = [c for c in verify.run_suite("czgate")["checks"]
             if c["name"].startswith("diagonality")]
     assert len(rows) == 9
@@ -739,10 +735,13 @@ def test_stdout_closed_by_the_reader_exits_1_without_a_message():
 
 
 # Sizes whose arrays no machine holds: czgate's dense D^4 matrix
-# (14.6 TiB) and fidelity's grid (8 TiB).
+# (14.6 TiB), fidelity's grid (8 TiB) and its tuple of 10^11 revival
+# orders, whose bare MemoryError carries no text of its own.
 ABSURD_SIZES = {
     "czgate-dim-1000": ["czgate", "-d", "1000", "-k", "0"],
     "fidelity-n-x-2^40": ["fidelity", "--n-slits", "5", "--m-max", "1", "--n-x", str(2**40)],
+    "fidelity-m-max-10^11": ["fidelity", "--n-slits", "5", "--n-x", "1024",
+                             "--m-max", str(10**11)],
 }
 
 # `python -m talbotsim ARGS` with 64 GiB of address space, so that the

@@ -158,7 +158,6 @@ def test_private_names_crossing_module_boundaries_are_the_listed_few():
         "programs": ["_integer"],
         "propagation": ["_integer"],
         "serialize": ["_integer"],
-        "verify": ["_relabelled_mode_map"],
     }
 
 

@@ -3,10 +3,11 @@
 Oracle: a four-path mode space (a, b, dump-a, dump-b) in which the
 balancing filters are honest unitary couplers into dump paths and the
 path relabeling is an explicit permutation.  Coincidences between a and b
-are extracted once, at the end.  The production `build_cz` uses a 2D-mode
-shortcut (filters as amplitude scalings, relabeling absorbed); the oracle
-validates both the shortcut and the claim that intermediate post-selection
-is never needed (a photon in a dump path can no longer reach a and b).
+are extracted once, at the end.  The production `build_cz` uses a shortcut
+(the splitter's two vectors, filters as amplitude scalings, relabeling
+absorbed); the oracle validates both the shortcut and the claim that
+intermediate post-selection is never needed (a photon in a dump path can
+no longer reach a and b).
 """
 
 import dataclasses
@@ -152,10 +153,27 @@ def test_build_cz_memory_is_output_sized(k):
             tracemalloc.stop()
         assert op.diagonal.shape == (D * D,)
         assert op.matrix.shape == (D * D, D * D)
-        # in units of one complex D^2 vector: the 2D x 2D mode map is 4,
-        # np.block assembles it from two row blocks (4) beside two of its
-        # diagonal blocks (2); 10.1 to 10.5 measured
-        assert peak < 11 * 16 * D**2, (D, peak)
+        # in units of one complex D^2 vector: the exchange and direct
+        # terms, their sum and the products that scale it by sqrt(2) and
+        # the filters, one or two held at a time; 5.2 to 6.4 measured
+        assert peak < 7 * 16 * D**2, (D, peak)
+
+
+def test_postselected_operator_stores_only_its_diagonal():
+    names = [field.name for field in dataclasses.fields(PostSelectedOperator)]
+    assert names == ["dim", "control_level", "diagonal"]
+
+
+@pytest.mark.parametrize("factor", [2, 2j])
+def test_replaced_diagonal_reports_its_own_figures(factor):
+    # every figure is read from the diagonal, so an operator with another
+    # diagonal cannot carry the old one's success or corrections
+    heralded = build_cz(3, 1)
+    op = dataclasses.replace(heralded, diagonal=factor * heralded.diagonal)
+    assert np.abs(op.success_probabilities - 4 / 9).max() < 1e-15
+    ideal = ideal_cz_matrix(3, 1)
+    assert np.abs(op.corrected_matrix() - 2 * ideal / 3).max() < 1e-15
+    assert op.path_swap_levels == (0, 2)
 
 
 def _dense_figures(op) -> dict:

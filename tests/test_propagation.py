@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from talbotsim import (
+    CrosscheckResult,
     GratingSpec,
     ModeField,
     OpticalProgram,
@@ -187,6 +188,14 @@ def test_gate_crosscheck_sees_a_global_phase(monkeypatch):
     result = gate_crosscheck(3)
     assert result.certified is False
     assert result.max_deviation > 0.5
+
+
+@pytest.mark.parametrize(
+    "deviation,residual,certified",
+    [(1e-6, 1e-4, True), (2e-6, 0.0, False), (0.0, 2e-4, False), (float("nan"), 0.0, False)],
+)
+def test_crosscheck_certified_follows_its_two_figures(deviation, residual, certified):
+    assert CrosscheckResult(3, 1, deviation, residual).certified is certified
 
 
 @pytest.mark.parametrize(
