@@ -12,6 +12,7 @@ Fourier transform, the qubit Hadamard, and general single-qudit circuits.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gauss import _integer, gauss_coefficients
 
@@ -55,13 +56,15 @@ def talbot_step_coefficients(D: int) -> np.ndarray:
 def circulant(column: np.ndarray) -> np.ndarray:
     """Circulant matrix whose j-th column is the cyclic roll of `column` by j.
 
-    The matrix is allocated once, before any column is filled, so a size
-    that cannot be held fails at once with MemoryError.
+    The matrix is allocated first, so a size that cannot be held fails at
+    once with MemoryError.  It is then filled in one copy: window s of the
+    reversed column laid twice end to end reads column[(n-1-s-j) mod n] at
+    j, so the windows taken from s = n-1 down are the rows.
     """
     column = np.asarray(column)
-    matrix = np.empty((len(column), len(column)), dtype=column.dtype)
-    for j in range(len(column)):
-        matrix[:, j] = np.roll(column, j)
+    n = len(column)
+    matrix = np.empty((n, n), dtype=column.dtype)
+    matrix[...] = sliding_window_view(np.concatenate((column[::-1],) * 2), n)[n - 1::-1]
     return matrix
 
 

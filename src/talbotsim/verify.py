@@ -1,16 +1,14 @@
 """Self-verification suites: algebra, qft, crosscheck, czgate.
 
 Each suite is a generator of (name, value, tolerance) rows, one per
-deterministic check, and `run_suite` turns each row into one
-(value, tolerance, passed) record.  These are the same quantities the
-test suite asserts; the CLI exposes them so an installed package can be
-validated without a test runner.  A suite whose library call raises
-ValueError or MemoryError keeps the records it yielded before, ends with
-one failed record named "error: <message>" (value NaN, tolerance 0), and
-the other suites still run.
+deterministic check, and `run_suite` turns each row into one plain dict
+{suite, name, value, tolerance, passed}.  These are the same quantities
+the test suite asserts; the CLI exposes them so an installed package can
+be validated without a test runner.  A suite whose library call raises
+ValueError or MemoryError keeps the rows it yielded before, ends with one
+failed row named "error: <message>" (value NaN, tolerance 0), and the
+other suites still run.
 """
-
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,16 +32,7 @@ from .photonpair import (
 from .programs import compile_program, hadamard_program
 from .propagation import gate_crosscheck
 
-__all__ = ["Check", "run_suite", "suite_names", "format_report"]
-
-
-@dataclass(frozen=True)
-class Check:
-    suite: str
-    name: str
-    value: float
-    tolerance: float
-    passed: bool
+__all__ = ["run_suite", "format_report"]
 
 
 def _algebra():
@@ -137,10 +126,6 @@ _SUITES = {
 }
 
 
-def suite_names() -> list:
-    return list(_SUITES)
-
-
 def run_suite(name: str) -> dict:
     """Run one suite (or 'all'); returns {suite, checks, all_passed}."""
     if name == "all":
@@ -152,16 +137,23 @@ def run_suite(name: str) -> dict:
     checks = []
     for suite in suites:
         try:
-            for check, value, tolerance in _SUITES[suite]():
-                value = float(value)
-                checks.append(Check(suite, check, value, tolerance, bool(value <= tolerance)))
+            # extend appends each row as the suite yields it, so the rows
+            # before a raise stay
+            checks.extend(_row(suite, *row) for row in _SUITES[suite]())
         except (ValueError, MemoryError) as error:
-            checks.append(Check(suite, f"error: {error}", float("nan"), 0.0, False))
+            checks.append(_row(suite, f"error: {error}", float("nan"), 0.0))
     return {
         "suite": name,
-        "checks": [asdict(c) for c in checks],
-        "all_passed": all(c.passed for c in checks),
+        "checks": checks,
+        "all_passed": all(c["passed"] for c in checks),
     }
+
+
+def _row(suite: str, name: str, value, tolerance: float) -> dict:
+    """One check as the report prints it; NaN never passes."""
+    value = float(value)
+    return {"suite": suite, "name": name, "value": value, "tolerance": tolerance,
+            "passed": bool(value <= tolerance)}
 
 
 def format_report(result: dict) -> str:

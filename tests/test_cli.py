@@ -203,6 +203,25 @@ def test_verify_error_ends_its_suite_and_the_next_suites_run(monkeypatch, error)
     assert all(c["passed"] for c in czgate)
 
 
+def test_run_suite_rows_are_plain_dicts_kept_up_to_a_raise(monkeypatch):
+    def suite():
+        yield "first", 0.5, 1.0
+        yield "second", 2.0, 1.0
+        raise ValueError("broke after two rows")
+
+    monkeypatch.setitem(verify._SUITES, "qft", suite)
+    result = verify.run_suite("qft")
+    assert all(type(row) is dict for row in result["checks"])
+    assert [list(row) for row in result["checks"]] == [
+        ["suite", "name", "value", "tolerance", "passed"]
+    ] * 3
+    assert [row["name"] for row in result["checks"]] == [
+        "first", "second", "error: broke after two rows"
+    ]
+    assert [row["passed"] for row in result["checks"]] == [True, False, False]
+    assert result["all_passed"] is False
+
+
 # ---------------------------------------------------------------------------
 # carpet
 # ---------------------------------------------------------------------------
@@ -793,7 +812,7 @@ def test_gate_loads_no_wave_optics_and_no_other_command():
 def test_cli_literals_are_the_library_values():
     # cli.py spells these out so that --help imports neither module
     suite = next(p for p in main.commands["verify"].params if p.name == "suite")
-    assert list(suite.type.choices) == [*verify.suite_names(), "all"]
+    assert list(suite.type.choices) == [*verify._SUITES, "all"]
     defaults = {p.name: p.default for p in main.commands["fidelity"].params}
     library = {
         "slit_ratio": fidelity.DEFAULT_SLIT_WIDTH,

@@ -157,9 +157,33 @@ def test_circulant_helper():
     assert np.array_equal(M[:, 2], np.array([2.0, 3.0, 1.0]))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 512])
+def test_circulant_is_bitwise_the_rolled_columns(n):
+    rng = np.random.default_rng(n)
+    column = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    column[::3] = complex(0.0, -0.0)
+    column[1::4] = complex(-0.0, 0.0)
+    matrix = circulant(column)
+    reference = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        reference[:, j] = np.roll(column, j)
+    assert matrix.shape == (n, n)
+    assert matrix.flags.c_contiguous
+    # compared as raw bits, so a -0.0 in either part must stay -0.0
+    assert np.array_equal(matrix.view(np.uint64), reference.view(np.uint64))
+
+
+def test_circulant_refuses_an_unholdable_size_before_any_work():
+    # the n x n output is allocated first: the 2n doubled column is never
+    # built, and the error names the shape that could not be held
+    n = 2_000_000
+    with pytest.raises(MemoryError, match=re.escape(f"({n}, {n})")):
+        circulant(np.zeros(n, dtype=complex))
+
+
 def test_circulant_peak_memory_is_its_output():
-    # one preallocated matrix: stacking a list of rolled columns would hold
-    # it twice, and grow until memory ran out for a huge D
+    # one preallocated matrix filled in one copy: stacking a list of rolled
+    # columns would hold it twice, and grow until memory ran out for a huge D
     column = np.exp(1j * np.arange(512))
     tracemalloc.start()
     try:

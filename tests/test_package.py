@@ -40,7 +40,7 @@ def test_public_names_resolve_on_lookup_and_are_never_cached():
 # The package's public names, so that adding or removing one has to be a
 # deliberate edit here.
 PUBLIC_NAMES = [
-    "CarpetImage", "Check", "CrosscheckResult", "DecompositionReport", "FidelityRow",
+    "CarpetImage", "CrosscheckResult", "DecompositionReport", "FidelityRow",
     "GratingSpec", "ModeField", "OpticalProgram", "PhaseMask", "PostSelectedOperator",
     "Propagate", "PropagationReport", "ReplicaDecomposition", "Revival", "SDBSSpec",
     "SampledField", "__version__", "angular_spectrum", "basis_wavefunction", "build_cz",
@@ -53,7 +53,7 @@ PUBLIC_NAMES = [
     "program_from_json", "program_to_json", "propagate_paraxial", "qft_decomposition_even",
     "qft_decomposition_odd", "qft_matrix", "render_carpet", "render_program_carpet",
     "replica_decompose", "run_suite", "schmidt_coefficients", "sdbs_mode_map",
-    "suite_names", "synthesize_gaussian_comb", "talbot_cycle_length",
+    "synthesize_gaussian_comb", "talbot_cycle_length",
     "talbot_step_coefficients", "talbot_unitary", "write_csv", "write_json", "write_pgm",
 ]
 
