@@ -112,7 +112,7 @@ class PostSelectedOperator:
     input coincidence (d, f), index d * D + f, leaves as itself with that
     unnormalized amplitude.  Everything else is read from it: `matrix` is
     the dense D^2 x D^2 view, `success_probabilities` lists |diagonal|^2,
-    and the `correction_*` values are single-path phase masks (alpha on a,
+    and `corrections()` returns the single-path phase masks (alpha on a,
     beta on b, plus a global angle) that rotate it onto its ideal target;
     they commute with any later slit-basis processing and are declared
     rather than physically applied.  `path_swap_levels` are the levels
@@ -132,34 +132,36 @@ class PostSelectedOperator:
         return tuple(d for d in range(self.dim) if d != self.control_level)
 
     @property
-    def path_swap_applied(self) -> bool:
-        return len(self.path_swap_levels) > 0
-
-    @property
-    def correction_alpha(self) -> np.ndarray:
-        return _diagonal_corrections(self.diagonal, self.dim, self.control_level)[0]
-
-    @property
-    def correction_beta(self) -> np.ndarray:
-        return _diagonal_corrections(self.diagonal, self.dim, self.control_level)[1]
-
-    @property
-    def correction_global(self) -> float:
-        return _diagonal_corrections(self.diagonal, self.dim, self.control_level)[2]
-
-    @property
     def matrix(self) -> np.ndarray:
         """np.diag(diagonal), built on each access: 16 D^4 bytes."""
         return np.diag(self.diagonal)
 
+    def corrections(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Phases (alpha_d, beta_f, gamma) turning the diagonal into the CZ pattern.
+
+        Solvable because the interaction signature of the heralded operator
+        already matches the ideal gate; the split uses the d = 0 row/column
+        as gauge.  Each phase is wrapped to (-pi, pi].
+        """
+        D = self.dim
+        target = np.angle(_ideal_cz_diagonal(D, self.control_level)).reshape(D, D)
+        needed = target - np.angle(self.diagonal.reshape(D, D))
+        gamma = needed[0, 0]
+        alpha = needed[:, 0] - gamma
+        beta = needed[0, :] - alpha[0] - gamma
+        return _wrap(alpha), _wrap(beta), float(_wrap(gamma))
+
     def corrected_matrix(self) -> np.ndarray:
         """Matrix after the declared local phase corrections."""
-        alpha, beta, gamma = _diagonal_corrections(self.diagonal, self.dim, self.control_level)
+        alpha, beta, gamma = self.corrections()
         phase = np.exp(1j * gamma) * np.outer(np.exp(1j * alpha), np.exp(1j * beta))
         return np.diag(phase.reshape(-1) * self.diagonal)
 
     def apply(self, state_a: np.ndarray, state_b: np.ndarray) -> tuple[np.ndarray, float]:
         """Output coincidence amplitudes and success probability for a product input."""
+        shape_a, shape_b = np.shape(state_a), np.shape(state_b)
+        if not shape_a == shape_b == (self.dim,):
+            raise ValueError(f"states must have shape ({self.dim},), got {shape_a} and {shape_b}")
         out = (self.diagonal * np.kron(state_a, state_b)).reshape(self.dim, self.dim)
         return out, float(np.linalg.norm(out) ** 2)
 
@@ -212,23 +214,6 @@ def build_cz(D: int, k: int) -> PostSelectedOperator:
     direct = (own * half)[:, None] * own
     diagonal = ((exchange + direct) * math.sqrt(2.0) * filter_t[:, None] * filter_t).reshape(-1)
     return PostSelectedOperator(dim=D, control_level=k, diagonal=diagonal)
-
-
-def _diagonal_corrections(diagonal: np.ndarray, D: int, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Phases alpha_d + beta_f + gamma turning the diagonal into the CZ pattern.
-
-    Solvable because the interaction signature of the heralded operator
-    already matches the ideal gate; the split uses the d = 0 row/column as
-    gauge, target phase pi at (k, k) and 0 elsewhere.
-    """
-    target = np.where(
-        (np.arange(D)[:, None] == k) & (np.arange(D)[None, :] == k), np.pi, 0.0
-    )
-    needed = target - np.angle(diagonal.reshape(D, D))
-    gamma = needed[0, 0]
-    alpha = needed[:, 0] - gamma
-    beta = needed[0, :] - alpha[0] - gamma
-    return _wrap(alpha), _wrap(beta), float(_wrap(gamma))
 
 
 def interaction_phase_signature(matrix: np.ndarray) -> np.ndarray:

@@ -91,17 +91,18 @@ def program_from_json(payload: dict) -> OpticalProgram:
 
 def postselected_to_json(op) -> dict:
     """Serialized PostSelectedOperator, corrections included, its matrix as matrix_to_json's."""
+    alpha, beta, gamma = op.corrections()
     return {
         "dim": op.dim,
         "control_level": op.control_level,
         "matrix": matrix_to_json(op.matrix),
         "success_probabilities": [float(p) for p in op.success_probabilities],
-        "path_swap_applied": op.path_swap_applied,
+        "path_swap_applied": bool(op.path_swap_levels),
         "path_swap_levels": [int(d) for d in op.path_swap_levels],
         "local_corrections": {
-            "path_a_phases": [float(p) for p in op.correction_alpha],
-            "path_b_phases": [float(p) for p in op.correction_beta],
-            "global_phase": float(op.correction_global),
+            "path_a_phases": [float(p) for p in alpha],
+            "path_b_phases": [float(p) for p in beta],
+            "global_phase": gamma,
         },
     }
 

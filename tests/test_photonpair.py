@@ -12,6 +12,7 @@ no longer reach a and b).
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from talbotsim import (
     filter_splitter,
     ideal_cz_matrix,
     interaction_phase_signature,
+    postselected_to_json,
     schmidt_coefficients,
     sdbs_mode_map,
 )
@@ -357,7 +359,6 @@ def test_cz_figures_all_control_levels(D):
 def test_cz_declares_path_swap_on_reflected_levels():
     op = build_cz(4, 2)
     assert op.path_swap_levels == (0, 1, 3)
-    assert op.path_swap_applied
     assert op.control_level == 2
 
 
@@ -375,6 +376,35 @@ def test_cz_apply_is_linear_in_the_inputs():
             manual += u[d] * v[f] * op.matrix[:, d * 3 + f]
     assert np.abs(out.reshape(-1) - manual).max() < 1e-12
     assert abs(success - 1.0 / 9.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape_a,shape_b",
+    [((1,), (1,)), ((4,), (1,)), ((3, 1), (2,))],
+    ids=["both-short", "kron-sized", "column"],
+)
+def test_cz_apply_refuses_states_of_the_wrong_shape(shape_a, shape_b):
+    # the first two used to broadcast to an output with a success
+    # probability, the third to fail with NumPy's broadcasting message
+    op = build_cz(2, 1)
+    message = rf"\(2,\), got {re.escape(str(shape_a))} and {re.escape(str(shape_b))}"
+    with pytest.raises(ValueError, match=message):
+        op.apply(np.ones(shape_a), np.ones(shape_b))
+
+
+@pytest.mark.parametrize("D", range(2, 13))
+def test_corrected_matrix_is_the_ideal_cz_over_three(D):
+    # no phase fitted: the declared corrections alone reach the target,
+    # and the JSON payload declares the same corrections
+    for k in range(D):
+        op = build_cz(D, k)
+        assert np.abs(op.corrected_matrix() - ideal_cz_matrix(D, k) / 3.0).max() <= 1e-15
+        alpha, beta, gamma = op.corrections()
+        assert postselected_to_json(op)["local_corrections"] == {
+            "path_a_phases": alpha.tolist(),
+            "path_b_phases": beta.tolist(),
+            "global_phase": gamma,
+        }
 
 
 def test_cz_entangles_plus_plus_input():
@@ -444,9 +474,10 @@ def test_signature_rejects_bad_matrices():
 
 def test_corrections_are_wrapped_and_consistent():
     op = build_cz(3, 0)
-    for arr in (op.correction_alpha, op.correction_beta):
+    alpha, beta, gamma = op.corrections()
+    for arr in (alpha, beta):
         assert np.all(arr <= np.pi) and np.all(arr > -np.pi)
-    assert -np.pi < op.correction_global <= np.pi
+    assert -np.pi < gamma <= np.pi
     # corrections are single-path: corrected matrix has the same signature
     chi_raw = interaction_phase_signature(op.matrix)
     chi_corr = interaction_phase_signature(op.corrected_matrix())

@@ -367,6 +367,14 @@ def test_postselected_payload_schema():
     assert np.array_equal(back, op.matrix)
 
 
+@pytest.mark.parametrize("dim,control,swapped", [(1, 0, []), (2, 1, [0]), (4, 2, [0, 1, 3])])
+def test_postselected_payload_swap_flag(dim, control, swapped):
+    # D = 1 is the one operator with no relabeled level, so its flag is false
+    payload = json.loads(_streamed(postselected_to_json(build_cz(dim, control))))
+    assert payload["path_swap_applied"] is bool(swapped)
+    assert payload["path_swap_levels"] == swapped
+
+
 def test_write_pgm_bytes(tmp_path):
     intensity = np.array([[0.0, 0.5], [1.0, 0.25], [0.75, 0.0]])
     path = tmp_path / "carpet.pgm"
