@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grating import GratingSpec, ModeField, grating_coefficients
+from .grating import GratingSpec, grating_coefficients
 from .propagation import SampledField, angular_spectrum, propagate_paraxial
 
 __all__ = [
@@ -94,15 +94,6 @@ def _revival_fidelities(field: SampledField, m_list):
         yield m, float(abs(overlap) ** 2), report
 
 
-def _periodic_control(comb: ModeField, m: int) -> float:
-    """Ideal infinite-comb fidelity at integer periods, exact in mode space.
-
-    comb is the normalized grating comb.
-    """
-    revived = propagate_paraxial(comb, Fraction(m))
-    return float(abs(comb.inner(revived)) ** 2)
-
-
 def fidelity_sweep(
     n_slits=DEFAULT_N_SLITS,
     m_list=DEFAULT_M_LIST,
@@ -148,11 +139,12 @@ def fidelity_sweep(
     if include_periodic_control:
         comb = grating_coefficients(spec).normalized()
         for m in m_list:
+            revived = propagate_paraxial(comb, Fraction(m))
             rows.append(
                 FidelityRow(
                     n_slits=float("inf"),
                     talbot_periods=m,
-                    fidelity=_periodic_control(comb, m),
+                    fidelity=float(abs(comb.inner(revived)) ** 2),
                     dropped_norm_fraction=0.0,
                     aliasing_risk=False,
                     periodic_control=True,

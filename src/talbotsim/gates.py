@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .gauss import _integer, gauss_coefficients
+from .gauss import _integer, _root_of_unity, gauss_coefficients
 
 __all__ = [
     "pauli_shift",
@@ -98,10 +98,10 @@ def diagonal_gate(phases: np.ndarray) -> np.ndarray:
 
 
 def qft_matrix(D: int) -> np.ndarray:
-    """Discrete Fourier transform F[d, j] = exp(-2i pi d j / D) / sqrt(D)."""
+    """Fourier matrix F[d, j] = exp(-2i pi d j / D) / sqrt(D), phase from d j mod D."""
     D = _integer(D, "dimension", positive=True)
     d = np.arange(D)
-    return np.exp(-2j * np.pi * np.outer(d, d) / D) / np.sqrt(D)
+    return _root_of_unity(d, D, -1)[np.outer(d, d) % D] / np.sqrt(D)
 
 
 @dataclass(frozen=True)

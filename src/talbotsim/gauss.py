@@ -31,6 +31,15 @@ def _integer(value, name: str, positive: bool = False) -> int:
     return int(value)
 
 
+def _root_of_unity(p: np.ndarray, r: int, sign: int) -> np.ndarray:
+    """exp(sign 2i pi p / r), sign +1 or -1, for an integer array p.
+
+    Every exact rational phase is taken here from the residue p mod r, so it
+    is exact to an ulp at any size (a conjugate would flip signed zeros).
+    """
+    return np.exp((2j if sign > 0 else -2j) * np.pi * (p % r) / r)
+
+
 def gauss_coefficients(q: int, r: int) -> np.ndarray:
     """Weights b_j = (1/r) sum_n exp(-2i pi (q n^2 - j n) / r), j = 0 .. r-1.
 
@@ -72,11 +81,10 @@ def gauss_coefficients(q: int, r: int) -> np.ndarray:
         values[1::2] = _odd_modulus_weights(q * half % s, s, j[1::2] * half % s)
         return values
     k = j[: r // 2]
-    exponent = (k * k % r) * pow(q, -1, r) % r
     unit = np.exp(-1j * np.pi / 4) if q % 4 == 1 else np.exp(1j * np.pi / 4)
     if _jacobi_symbol(r, q) < 0:
         unit = -unit
-    values[::2] = unit * np.exp(2j * np.pi * exponent / r) / np.sqrt(r // 2)
+    values[::2] = unit * _root_of_unity((k * k % r) * pow(q, -1, r), r, 1) / np.sqrt(r // 2)
     return values
 
 
@@ -85,11 +93,8 @@ def _odd_modulus_weights(q: int, r: int, j: np.ndarray) -> np.ndarray:
     prefactor = (1.0 if r % 4 == 1 else -1j) / np.sqrt(r)
     if _jacobi_symbol(q, r) < 0:
         prefactor = -prefactor
-    # Integer exponents mod r keep each phase exact to one ulp.  The float
-    # operations here and in the r = 0 mod 4 branch run in the order of the
-    # earlier q = 1 formulas, so odd and qubit gate steps keep their bits.
-    exponent = (j * j % r) * pow(4 * q, -1, r) % r
-    return prefactor * np.exp(2j * np.pi * exponent / r)
+    # the pinned gate bytes hold this operand order, here and for r = 0 mod 4
+    return prefactor * _root_of_unity((j * j % r) * pow(4 * q, -1, r), r, 1)
 
 
 def _jacobi_symbol(a: int, n: int) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import _integer
+from .gauss import _integer, _root_of_unity
 
 __all__ = [
     "GratingSpec",
@@ -99,11 +99,6 @@ class ModeField:
             )
         return complex(np.vdot(self.coefficients, other.coefficients))
 
-    def translated(self, delta: float) -> "ModeField":
-        """Field shifted by +delta periods: psi(x) -> psi(x - delta)."""
-        phases = np.exp(-2j * np.pi * self.modes * float(delta))
-        return ModeField(self.coefficients * phases, self.truncation)
-
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Complex field values at positions x (in periods), as a flat vector.
 
@@ -185,12 +180,13 @@ def basis_wavefunction(spec: GratingSpec, D: int, d: int) -> ModeField:
     """Slit state |d> of a D-level encoding: the slit translated to [d/D, d/D + a).
 
     Translation covariance is exact in mode space: the coefficients of |d>
-    are those of |0> times exp(-2i pi m d / D).
+    are those of |0> times exp(-2i pi m d / D), from the residue m d mod D.
     """
     D, d = _integer(D, "dimension", positive=True), _integer(d, "level")
     if not 0 <= d < D:
         raise ValueError(f"level must satisfy 0 <= d < D, got {d}")
-    return grating_coefficients(spec).translated(d / D)
+    slit = grating_coefficients(spec)
+    return ModeField(slit.coefficients * _root_of_unity(slit.modes * d, D, -1), slit.truncation)
 
 
 def mean_orthogonality(D: int, a_over_ell: float) -> float:

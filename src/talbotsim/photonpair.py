@@ -123,6 +123,16 @@ class PostSelectedOperator:
     control_level: int
     diagonal: np.ndarray
 
+    def __post_init__(self):
+        D, k = _control(self.dim, self.control_level)
+        diagonal = np.asarray(self.diagonal, dtype=complex)
+        if diagonal.shape != (D * D,):
+            raise ValueError(f"diagonal must have shape ({D * D},), got {diagonal.shape}")
+        diagonal.setflags(write=False)
+        object.__setattr__(self, "dim", D)
+        object.__setattr__(self, "control_level", k)
+        object.__setattr__(self, "diagonal", diagonal)
+
     @property
     def success_probabilities(self) -> np.ndarray:
         return np.abs(self.diagonal) ** 2
@@ -202,8 +212,7 @@ def build_cz(D: int, k: int) -> PostSelectedOperator:
     that route's bits (signed zeros included).  No array is larger than
     the diagonal.
     """
-    D, k = _control(D, k)
-    splitter = control_splitter(D, k)
+    splitter = control_splitter(D, k)  # checks (D, k)
     t, ir = splitter.transmission, 1j * splitter.reflection
     relabeled = np.arange(D) != k
     own, cross = np.where(relabeled, ir, t), np.where(relabeled, t, ir)

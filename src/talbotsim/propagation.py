@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gates import talbot_cycle_length, talbot_unitary
-from .gauss import _integer
+from .gauss import _integer, _root_of_unity
 from .grating import GratingSpec, ModeField, basis_wavefunction
 from .programs import OpticalProgram, PhaseMask, Propagate
 
@@ -44,10 +44,8 @@ def _paraxial_phases(m: np.ndarray, zeta) -> np.ndarray:
     of phases per zeta value.
     """
     if isinstance(zeta, Fraction) and zeta.denominator <= _MAX_EXACT_DENOMINATOR:
-        q = zeta.numerator % zeta.denominator
         r = zeta.denominator
-        exponent = ((m * m) % r) * q % r
-        return np.exp(-2j * np.pi * exponent / r)
+        return _root_of_unity((m * m) % r * (zeta.numerator % r), r, -1)
     frac = np.mod(np.asarray(zeta, dtype=float), 1.0)
     return np.exp(-2j * np.pi * np.mod(np.multiply.outer(frac, m.astype(float) ** 2), 1.0))
 
@@ -147,9 +145,10 @@ def replica_decompose(
     """Decompose the field propagated by zeta = q/r onto its r translates.
 
     zeta must be exact (Fraction or int); floats are refused because the
-    translate count is the reduced denominator.  The weights reproduce
-    gauss_coefficients(q, r) whenever the translate family is linearly
-    independent, since the shifted-copy identity holds mode by mode.
+    translate count is the reduced denominator.  Translate j has mode m
+    times exp(-2i pi m j / r), from the residue (m mod r) j mod r.  The
+    weights reproduce gauss_coefficients(q, r) whenever the translates are
+    linearly independent, since the shifted-copy identity holds mode by mode.
     """
     if isinstance(zeta, float):
         raise TypeError("zeta must be an exact rational (Fraction or int)")
@@ -160,9 +159,8 @@ def replica_decompose(
             f"truncation {field.truncation} cannot resolve {r} translates; "
             f"need mode_truncation >= {(r - 1) // 2 + 1}"
         )
-    translates = np.column_stack(
-        [field.translated(j / r).coefficients for j in range(r)]
-    )
+    roots = _root_of_unity(np.multiply.outer(np.arange(r), np.arange(r)), r, -1)
+    translates = field.coefficients[:, None] * roots[field.modes % r]
     propagated = propagate_paraxial(field, zeta).coefficients
     weights, residual, condition = _project(translates, propagated)
     orthogonal = None if slit_width is None else bool(slit_width * r <= 1.0)

@@ -414,10 +414,10 @@ PINNED_PROGRAM = {"dim": 4, "steps": [
         (["--z-steps", "129", "--x-steps", "256", "--truncation", "128"],
          "18e0b169689e969bdb2a9b2088e85d57ddded1cf873e4f4f0446ab47dfd24191"),
         (["--slit-ratio", "0.125", "--program", "program.json"],
-         "8cc0fd074f06fd51aac8b9a51e7e39a8064e38059f07b6d0f0d8e9eccc957f96"),
+         "bf9b5ae049170c1ad4060b7fadd2c87c9d3ba00ecddab595727694ebb356aebf"),
         (["--slit-ratio", "0.125", "--program", "program.json", "--initial-level", "3",
           "--z-steps", "129", "--x-steps", "256", "--truncation", "128"],
-         "945d5b5b2d8517dc8409eefb428b795922de5645b0b5c6c2ec69a54c96b5ee90"),
+         "63887b3af824f31bc227de49ef78b8e94d638896eaeae991aeddd8ec7be5aba4"),
     ],
     ids=["default", "benchmark-size", "program", "program-level-3-benchmark-size"],
 )

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +220,21 @@ def test_qft_matrix_properties():
         # F^2 is the parity permutation |d> -> |-d mod D>
         parity = np.eye(D)[:, (-np.arange(D)) % D]
         assert np.abs(F @ F - parity).max() < 1e-12
+
+
+def test_qft_matrix_phases_are_exact_at_large_dimension():
+    # exp(-2i pi d j / D) from the residue d j mod D; the unreduced product
+    # loses digits as d j grows (8.9e-13 at D = 1001)
+    D = 1001
+    picks = np.r_[0:D:37, D - 2, D - 1]
+    F = qft_matrix(D)[np.ix_(picks, picks)]
+    with mpmath.workdps(30):
+        reference = [
+            [complex(mpmath.expjpi(mpmath.mpf(-2 * int(d) * int(j)) / D) / mpmath.sqrt(D))
+             for j in picks]
+            for d in picks
+        ]
+    assert np.sqrt(D) * np.abs(F - reference).max() <= 2e-15
 
 
 @pytest.mark.parametrize("D", [2, 4, 6, 8, 10, 12])

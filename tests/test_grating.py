@@ -3,6 +3,7 @@ dense-grid integration."""
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +202,20 @@ def test_translation_covariance_exact_in_mode_space():
         direct = basis_wavefunction(spec, D, d).coefficients
         manual = base.coefficients * np.exp(-2j * np.pi * base.modes * (d / D))
         assert np.abs(direct - manual).max() < 1e-15
+
+
+def test_slit_state_phases_are_exact_at_large_mode_counts():
+    # |d> is |0> times exp(-2i pi m d / D), taken from the residue m d mod D;
+    # a float shift d / D loses digits as m grows (7.6e-11 at M = 2^16)
+    M, D = 2**16, 7
+    spec = GratingSpec(slit_width=0.1, mode_truncation=M)
+    modes = np.linspace(-M, M, 301).round().astype(int)
+    base = basis_wavefunction(spec, D, 0).coefficients[modes + M]
+    for d in range(1, D):
+        relative = basis_wavefunction(spec, D, d).coefficients[modes + M] / base
+        with mpmath.workdps(30):
+            reference = [complex(mpmath.expjpi(mpmath.mpf(-2 * int(m) * d) / D)) for m in modes]
+        assert np.abs(relative - reference).max() <= 2e-15, d
 
 
 def test_basis_level_validation():

@@ -152,11 +152,11 @@ def test_private_names_crossing_module_boundaries_are_the_listed_few():
             crossing[path.stem] = names
     assert crossing == {
         "carpet": ["_BLOCK_ENTRIES", "_integer", "_paraxial_phases", "_slit_basis", "_walk"],
-        "gates": ["_integer"],
-        "grating": ["_integer"],
+        "gates": ["_integer", "_root_of_unity"],
+        "grating": ["_integer", "_root_of_unity"],
         "photonpair": ["_integer"],
         "programs": ["_integer"],
-        "propagation": ["_integer"],
+        "propagation": ["_integer", "_root_of_unity"],
         "serialize": ["_integer"],
     }
 

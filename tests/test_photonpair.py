@@ -166,6 +166,26 @@ def test_postselected_operator_stores_only_its_diagonal():
     assert names == ["dim", "control_level", "diagonal"]
 
 
+def test_postselected_diagonal_is_read_only():
+    # the operator is frozen, so its success probabilities, corrections and
+    # JSON cannot change under it
+    op = build_cz(2, 1)
+    assert not op.diagonal.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        op.diagonal[0] = 0
+
+
+def test_postselected_control_level_must_be_a_level():
+    # an out-of-range k read the CZ as corrected to the identity
+    with pytest.raises(ValueError, match="control level"):
+        PostSelectedOperator(dim=2, control_level=5, diagonal=build_cz(2, 1).diagonal)
+
+
+def test_postselected_diagonal_must_match_the_dimension():
+    with pytest.raises(ValueError, match=r"shape \(9,\)"):
+        PostSelectedOperator(dim=3, control_level=1, diagonal=build_cz(2, 1).diagonal)
+
+
 @pytest.mark.parametrize("factor", [2, 2j])
 def test_replaced_diagonal_reports_its_own_figures(factor):
     # every figure is read from the diagonal, so an operator with another

@@ -67,8 +67,9 @@ def test_paraxial_exact_revival_with_fractions():
 def test_paraxial_half_period_is_half_shift():
     f = make_field()
     half = propagate_paraxial(f, Fraction(1, 2))
-    shifted = f.translated(0.5)
-    assert np.abs(half.coefficients - shifted.coefficients).max() < 1e-12
+    # the field shifted by half a period: mode m times exp(-i pi m)
+    shifted = f.coefficients * (-1.0) ** (f.modes % 2)
+    assert np.abs(half.coefficients - shifted).max() < 1e-12
 
 
 def test_paraxial_mode_phase_against_scalar_oracle():
@@ -112,6 +113,15 @@ def test_replica_matches_gauss_for_disjoint_slits(q, r):
     assert dec.orthogonal is True
     expected = np.asarray(gauss_coefficients(q, r))
     assert np.abs(dec.coefficients - expected).max() < 1e-9, (q, r)
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_replica_translates_stay_exact_at_large_denominators(q):
+    # the translates take exp(-2i pi m j / r) from the residue m j mod r;
+    # float shifts j / r left a residual of 2.0e-13 here
+    field = make_field(a=0.002, M=8192)
+    dec = replica_decompose(field, Fraction(q, 257), slit_width=0.002)
+    assert dec.residual <= 1e-14
 
 
 def test_replica_integer_distance_is_trivial():
