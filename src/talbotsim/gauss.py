@@ -34,8 +34,8 @@ def _integer(value, name: str, positive: bool = False) -> int:
 def _root_of_unity(p: np.ndarray, r: int, sign: int) -> np.ndarray:
     """exp(sign 2i pi p / r), sign +1 or -1, for an integer array p.
 
-    Every exact rational phase is taken here from the residue p mod r, so it
-    is exact to an ulp at any size (a conjugate would flip signed zeros).
+    Every exact rational phase is taken here from the residue p mod r, so
+    its error does not grow with p (a conjugate would flip signed zeros).
     """
     return np.exp((2j if sign > 0 else -2j) * np.pi * (p % r) / r)
 

@@ -224,7 +224,7 @@ def test_qft_matrix_properties():
 
 def test_qft_matrix_phases_are_exact_at_large_dimension():
     # exp(-2i pi d j / D) from the residue d j mod D; the unreduced product
-    # loses digits as d j grows (8.9e-13 at D = 1001)
+    # loses digits as d j grows (8.7e-13 at D = 1001)
     D = 1001
     picks = np.r_[0:D:37, D - 2, D - 1]
     F = qft_matrix(D)[np.ix_(picks, picks)]
