@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import _integer
+from .gauss import _integer, _read_only
 from .grating import (
     _BLOCK_ENTRIES,
     GratingSpec,
@@ -51,9 +51,7 @@ class CarpetImage:
 
     def __post_init__(self):
         for name in ("intensity", "zeta", "x"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(getattr(self, name), float))
         if self.intensity.shape != (len(self.zeta), len(self.x)):
             raise ValueError(
                 f"intensity shape {self.intensity.shape} does not match "

@@ -31,6 +31,18 @@ def _integer(value, name: str, positive: bool = False) -> int:
     return int(value)
 
 
+def _read_only(value, dtype) -> np.ndarray:
+    """value as a dtype array behind a read-only view, for a frozen field.
+
+    asarray returns the caller's own array when it already has the dtype, so
+    only the view is frozen: the caller can still write to its array (and the
+    view sees that), and no field is copied.
+    """
+    view = np.asarray(value, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
+
+
 def _root_of_unity(p: np.ndarray, r: int, sign: int) -> np.ndarray:
     """exp(sign 2i pi p / r), sign +1 or -1, for an integer array p.
 

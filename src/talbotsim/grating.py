@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import _integer, _root_of_unity
+from .gauss import _integer, _read_only, _root_of_unity
 
 __all__ = [
     "GratingSpec",
@@ -68,13 +68,12 @@ class ModeField:
 
     def __post_init__(self):
         object.__setattr__(self, "truncation", _integer(self.truncation, "truncation"))
-        coeffs = np.asarray(self.coefficients, dtype=complex)
+        coeffs = _read_only(self.coefficients, complex)
         if coeffs.shape != (2 * self.truncation + 1,):
             raise ValueError(
                 f"expected {2 * self.truncation + 1} coefficients for "
                 f"truncation {self.truncation}, got shape {coeffs.shape}"
             )
-        coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -185,8 +184,20 @@ def basis_wavefunction(spec: GratingSpec, D: int, d: int) -> ModeField:
     D, d = _integer(D, "dimension", positive=True), _integer(d, "level")
     if not 0 <= d < D:
         raise ValueError(f"level must satisfy 0 <= d < D, got {d}")
+    return ModeField(_slit_states(spec, D, d), spec.mode_truncation)
+
+
+def _slit_states(spec: GratingSpec, D: int, levels) -> np.ndarray:
+    """Mode coefficients of the slit states |d> for d in `levels`, one row each.
+
+    One slit spectrum and one product for all levels, the coefficients
+    first and both operands named: NumPy's temporary elision would compute
+    `coefficients * <temporary>` in place, with the operands swapped and
+    so rounded differently, once the rows pass 256 KiB.
+    """
     slit = grating_coefficients(spec)
-    return ModeField(slit.coefficients * _root_of_unity(slit.modes * d, D, -1), slit.truncation)
+    roots = _root_of_unity(np.multiply.outer(levels, slit.modes), D, -1)
+    return slit.coefficients * roots
 
 
 def mean_orthogonality(D: int, a_over_ell: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import _integer
+from .gauss import _integer, _read_only
 
 __all__ = [
     "SDBSSpec",
@@ -49,8 +49,8 @@ class SDBSSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _integer(self.dim, "dimension", positive=True))
-        t = np.asarray(self.transmission, dtype=complex)
-        r = np.asarray(self.reflection, dtype=complex)
+        t = _read_only(self.transmission, complex)
+        r = _read_only(self.reflection, complex)
         if t.shape != (self.dim,) or r.shape != (self.dim,):
             raise ValueError(
                 f"transmission/reflection must have shape ({self.dim},), "
@@ -63,8 +63,6 @@ class SDBSSpec:
             raise ValueError("each level needs |t|^2 + |r|^2 = 1")
         if np.abs((t * r.conj()).imag).max() > 1e-12:
             raise ValueError("t_d conj(r_d) must be real for a unitary block")
-        t.setflags(write=False)
-        r.setflags(write=False)
         object.__setattr__(self, "transmission", t)
         object.__setattr__(self, "reflection", r)
 
@@ -125,10 +123,9 @@ class PostSelectedOperator:
 
     def __post_init__(self):
         D, k = _control(self.dim, self.control_level)
-        diagonal = np.asarray(self.diagonal, dtype=complex)
+        diagonal = _read_only(self.diagonal, complex)
         if diagonal.shape != (D * D,):
             raise ValueError(f"diagonal must have shape ({D * D},), got {diagonal.shape}")
-        diagonal.setflags(write=False)
         object.__setattr__(self, "dim", D)
         object.__setattr__(self, "control_level", k)
         object.__setattr__(self, "diagonal", diagonal)

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .gates import talbot_cycle_length, talbot_unitary
-from .gauss import _integer, _root_of_unity
-from .grating import GratingSpec, ModeField, basis_wavefunction
+from .gauss import _integer, _read_only, _root_of_unity
+from .grating import GratingSpec, ModeField, _slit_states
 from .programs import OpticalProgram, PhaseMask, Propagate
 
 __all__ = [
@@ -70,9 +70,7 @@ def _slit_basis(spec: GratingSpec, D: int) -> np.ndarray:
     them is then unique.  Rank, not the lstsq condition number, decides:
     a wide matrix reports only as many singular values as it has rows.
     """
-    basis = np.column_stack(
-        [basis_wavefunction(spec, D, d).coefficients for d in range(D)]
-    )
+    basis = np.ascontiguousarray(_slit_states(spec, D, np.arange(D)).T)
     rank = np.linalg.matrix_rank(basis)
     if rank < D:
         raise ValueError(
@@ -229,7 +227,7 @@ class SampledField:
     wavelength: float
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = _read_only(self.amplitudes, complex)
         if amps.ndim != 1:
             raise ValueError(f"amplitudes must be 1-d, got shape {amps.shape}")
         n = amps.shape[0]
@@ -244,7 +242,6 @@ class SampledField:
             raise ValueError(
                 f"wavelength {self.wavelength} is too small: (2 pi / wavelength)^2 overflows"
             )
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -358,6 +355,6 @@ def angular_spectrum(field: SampledField):
         # the previous call's inverse FFT filled the gap
         propagated[kept:mirror] = 0
         np.fft.ifft(propagated, out=propagated)
-        return SampledField(propagated.view(), field.extent, field.wavelength)
+        return SampledField(propagated, field.extent, field.wavelength)
 
     return report, propagate

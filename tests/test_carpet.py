@@ -1,13 +1,9 @@
 """Carpet rendering, program carpets, and revival detection."""
 
-import hashlib
-import json
-import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from talbotsim import (
     CarpetImage,
@@ -21,9 +17,8 @@ from talbotsim import (
     render_program_carpet,
 )
 from talbotsim import carpet
-from talbotsim.cli import main
 
-GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+import pins
 
 
 def test_render_carpet_shape_and_normalization():
@@ -193,19 +188,11 @@ def test_program_carpet_matches_per_row_evaluate(monkeypatch):
     assert np.abs(image.intensity - reference).max() <= 1e-12
 
 
-def test_default_pgm_bytes_match_golden_hashes(tmp_path):
-    golden = json.loads(GOLDEN.read_text())["carpet_grid"]
-    runner = CliRunner()
-    free = tmp_path / "golden_carpet.pgm"
-    assert runner.invoke(main, ["carpet", "--out", str(free)]).exit_code == 0
-    prefix = tmp_path / "golden_prep"
-    result = runner.invoke(
-        main, ["prepare", "--theta", "0.8", "--phi", "1.1", "--out-prefix", str(prefix)]
-    )
-    assert result.exit_code == 0
-    assert set(golden) == {free.name, *(p.name for p in tmp_path.glob("golden_prep_*"))}
-    for name, digest in golden.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+def test_default_pgm_bytes_match_golden_hashes():
+    for pin in pins.checked_by("test_default_pgm_bytes_match_golden_hashes"):
+        pins.check(pin)
+        # the command writes its pinned files and no other
+        assert set(pins.run(pin["id"])) == {"stdout", *pin["outputs"]}
 
 
 def test_carpet_synthesis_memory_is_output_sized():

@@ -3,7 +3,6 @@
 import ast
 import hashlib
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -23,7 +22,7 @@ from talbotsim import (
 )
 from talbotsim.cli import main
 
-GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+import pins
 
 
 @pytest.fixture()
@@ -366,70 +365,18 @@ def test_fidelity_out_file(runner, tmp_path):
     assert runner.invoke(main, args).stdout_bytes == out.read_bytes()
 
 
-def _fidelity_csv_digest(args, threads: int) -> str:
+@pytest.mark.parametrize("pin", pins.checked_by("test_fidelity_csv_bytes_are_pinned"),
+                         ids=lambda pin: pin["case"])
+def test_fidelity_csv_bytes_are_pinned(pin):
     # BLAS reductions make the fidelity bytes depend on the thread count,
     # so each pin runs in a fresh process with the count fixed
-    env = dict(os.environ, OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads))
-    result = subprocess.run(
-        [sys.executable, "-m", "talbotsim", "fidelity", *args],
-        capture_output=True, check=True, env=env,
-    )
-    return hashlib.sha256(result.stdout).hexdigest()
+    pins.check(pin)
 
 
-FIDELITY_BENCHMARK_SIZE = [
-    "--n-slits", "20.5,50.1,80.3", "--n-x", "131072", "--truncation", "16",
-    "--m-max", "20", "--periodic-control",
-]
-
-
-@pytest.mark.parametrize(
-    "args,threads,digest",
-    [
-        (FIDELITY_BENCHMARK_SIZE, 1,
-         "164519da86926fb3f6b563da0442dc92159a0bdb71833b6a849fa6f58e6ce110"),
-        ([], 1, "533ae5d5185de843d7ecff23e39848d21c18c64873635f44da9ed516ada6d68f"),
-        ([], 2, json.loads(GOLDEN.read_text())["fidelity_sweep"]["golden_fidelity.csv"]),
-    ],
-    ids=["benchmark-size-1-thread", "default-1-thread", "default-2-threads-golden"],
-)
-def test_fidelity_csv_bytes_are_pinned(args, threads, digest):
-    assert _fidelity_csv_digest(args, threads) == digest
-
-
-# D = 4, two masks, so the CSV metadata carries mask_positions 0.125;0.5
-PINNED_PROGRAM = {"dim": 4, "steps": [
-    {"propagate": {"num": 1, "den": 8}},
-    {"phase_mask": [0.0, 1.25, -2.5, 0.75]},
-    {"propagate": {"num": 3, "den": 8}},
-    {"phase_mask": [-0.5, 2.0, 0.25, -1.5]},
-    {"propagate": {"num": 2, "den": 8}},
-]}
-
-
-@pytest.mark.parametrize(
-    "args,digest",
-    [
-        ([], "f41a5841aa6b7fb70f9437f989269f3eaa5c54ab98cd838794bbd6b6fa782eb7"),
-        (["--z-steps", "129", "--x-steps", "256", "--truncation", "128"],
-         "18e0b169689e969bdb2a9b2088e85d57ddded1cf873e4f4f0446ab47dfd24191"),
-        (["--slit-ratio", "0.125", "--program", "program.json"],
-         "bf9b5ae049170c1ad4060b7fadd2c87c9d3ba00ecddab595727694ebb356aebf"),
-        (["--slit-ratio", "0.125", "--program", "program.json", "--initial-level", "3",
-          "--z-steps", "129", "--x-steps", "256", "--truncation", "128"],
-         "63887b3af824f31bc227de49ef78b8e94d638896eaeae991aeddd8ec7be5aba4"),
-    ],
-    ids=["default", "benchmark-size", "program", "program-level-3-benchmark-size"],
-)
-def test_carpet_csv_bytes_are_pinned(runner, tmp_path, args, digest):
-    (tmp_path / "program.json").write_text(json.dumps(PINNED_PROGRAM))
-    args = [str(tmp_path / arg) if arg == "program.json" else arg for arg in args]
-    csv_path = tmp_path / "carpet.csv"
-    result = runner.invoke(
-        main, ["carpet", *args, "--out", str(tmp_path / "carpet.pgm"), "--csv", str(csv_path)]
-    )
-    assert result.exit_code == 0, result.output
-    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+@pytest.mark.parametrize("pin", pins.checked_by("test_carpet_csv_bytes_are_pinned"),
+                         ids=lambda pin: pin["case"])
+def test_carpet_csv_bytes_are_pinned(pin):
+    pins.check(pin)
 
 
 # ---------------------------------------------------------------------------
@@ -498,40 +445,29 @@ def test_czgate_stdout_payload(runner):
     assert payload["matrix"]["entries"] == _cells(op.matrix)
 
 
-def _stdout_and_out_bytes(runner, tmp_path, args) -> bytes:
+@pytest.mark.parametrize(
+    "pin", [pin for pin in pins.PINS if pin["argv"][0] in ("gate", "czgate")],
+    ids=lambda pin: pin["id"],
+)
+def test_gate_algebra_out_file_equals_stdout(runner, tmp_path, pin):
+    # the large outputs the JSON writer streams row by row (5.8 MB and 20.6 MB
+    # at gate-256-511 and czgate-24-5) must not depend on the destination
     path = tmp_path / "out.json"
-    assert runner.invoke(main, [*args, "--out", str(path)]).exit_code == 0
-    to_stdout = runner.invoke(main, args)
+    assert runner.invoke(main, [*pin["argv"], "--out", str(path)]).exit_code == 0
+    to_stdout = runner.invoke(main, pin["argv"])
     assert to_stdout.exit_code == 0
     assert to_stdout.stdout_bytes == path.read_bytes()
-    return path.read_bytes()
 
 
-def test_default_gate_algebra_bytes_match_golden_hashes(runner, tmp_path):
-    golden = json.loads(GOLDEN.read_text())["gate_algebra"]
-    commands = {
-        "golden_gate.json": ["gate", "-d", "5", "-q", "3"],
-        "golden_cz.json": ["czgate", "-d", "3", "-k", "1"],
-    }
-    for name, args in commands.items():
-        data = _stdout_and_out_bytes(runner, tmp_path, args)
-        assert hashlib.sha256(data).hexdigest() == golden[name]
+def test_default_gate_algebra_bytes_match_golden_hashes():
+    for pin in pins.checked_by("test_default_gate_algebra_bytes_match_golden_hashes"):
+        pins.check(pin)
 
 
-@pytest.mark.parametrize(
-    "args,digest",
-    [
-        (["gate", "-d", "256", "-q", "511"],
-         "aafd56d1453ee2f878178156489786637b18c1f2f49f7fcabdba775b9f4d6d55"),
-        (["czgate", "-d", "24", "-k", "5"],
-         "c66268836f49f23addf2b6ddedade7440386455181cc789886b3a9041e118b74"),
-    ],
-    ids=["gate-256-511", "czgate-24-5"],
-)
-def test_benchmark_size_gate_algebra_bytes_are_pinned(runner, tmp_path, args, digest):
-    # the large outputs the JSON writer streams row by row (5.8 MB and 20.6 MB)
-    data = _stdout_and_out_bytes(runner, tmp_path, args)
-    assert hashlib.sha256(data).hexdigest() == digest
+@pytest.mark.parametrize("pin", pins.checked_by("test_benchmark_size_gate_algebra_bytes_are_pinned"),
+                         ids=lambda pin: pin["case"])
+def test_benchmark_size_gate_algebra_bytes_are_pinned(pin):
+    pins.check(pin)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import importlib
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import talbotsim
@@ -151,12 +152,13 @@ def test_private_names_crossing_module_boundaries_are_the_listed_few():
         if names:
             crossing[path.stem] = names
     assert crossing == {
-        "carpet": ["_BLOCK_ENTRIES", "_integer", "_paraxial_phases", "_slit_basis", "_walk"],
+        "carpet": ["_BLOCK_ENTRIES", "_integer", "_paraxial_phases", "_read_only", "_slit_basis",
+                   "_walk"],
         "gates": ["_integer", "_root_of_unity"],
-        "grating": ["_integer", "_root_of_unity"],
-        "photonpair": ["_integer"],
+        "grating": ["_integer", "_read_only", "_root_of_unity"],
+        "photonpair": ["_integer", "_read_only"],
         "programs": ["_integer"],
-        "propagation": ["_integer", "_root_of_unity"],
+        "propagation": ["_integer", "_read_only", "_root_of_unity", "_slit_states"],
         "serialize": ["_integer"],
     }
 
@@ -193,3 +195,28 @@ def test_integer_arguments_refuse_floats_and_bools(call, value):
     call(2)
     with pytest.raises(ValueError, match="must be (a positive|an) integer"):
         call(value)
+
+
+# Frozen classes that store arrays: a constructor from the caller's arrays,
+# their shapes, and the dtype the class stores, which they already have.
+FROZEN_ARRAYS = {
+    "ModeField": (lambda c: talbotsim.ModeField(c, 1), [(3,)], complex),
+    "SampledField": (lambda a: talbotsim.SampledField(a, 1.0, 0.5), [(4,)], complex),
+    "SDBSSpec": (lambda t, r: talbotsim.SDBSSpec(2, t, r), [(2,), (2,)], complex),
+    "PostSelectedOperator": (lambda diagonal: talbotsim.PostSelectedOperator(2, 1, diagonal),
+                             [(4,)], complex),
+    "CarpetImage": (talbotsim.CarpetImage, [(2, 3), (2,), (3,)], float),
+}
+
+
+@pytest.mark.parametrize("build,shapes,dtype", FROZEN_ARRAYS.values(), ids=FROZEN_ARRAYS.keys())
+def test_frozen_classes_store_a_read_only_view_of_the_callers_array(build, shapes, dtype):
+    # sqrt(1/2) everywhere also makes |t|^2 + |r|^2 = 1 for the splitter
+    given = [np.full(shape, np.sqrt(0.5), dtype) for shape in shapes]
+    frozen = build(*given)
+    stored = [value for value in vars(frozen).values() if isinstance(value, np.ndarray)]
+    assert len(stored) == len(given)
+    for array, value in zip(given, stored):
+        assert array.flags.writeable
+        assert not value.flags.writeable
+        assert np.shares_memory(array, value)

@@ -19,6 +19,7 @@ from talbotsim import (
     Propagate,
     SampledField,
     angular_spectrum,
+    basis_wavefunction,
     compile_program,
     gate_crosscheck,
     gauss_coefficients,
@@ -31,6 +32,7 @@ from talbotsim import (
     talbot_cycle_length,
     talbot_unitary,
 )
+from talbotsim import grating
 from talbotsim.propagation import (
     _MAX_EXACT_DENOMINATOR,
     _paraxial_phases,
@@ -224,6 +226,31 @@ def test_gate_crosscheck_refuses_a_rank_deficient_slit_basis(D, spec, rank):
     with pytest.raises(ValueError, match=f"the {D} slit states .* linearly dependent "
                                          f"\\(rank {rank}\\)"):
         gate_crosscheck(D, 1, spec)
+
+
+@pytest.mark.parametrize("M", [8191, 8192])
+def test_slit_basis_is_one_spectrum_times_its_roots(monkeypatch, M):
+    """One slit spectrum serves every level, and each column is its product
+    with the level's roots, coefficients first.  From 2M + 1 > 16384 a
+    `coefficients * <temporary>` would round otherwise: NumPy's temporary
+    elision computes it in place with the operands swapped."""
+    D = 3
+    spec = GratingSpec(slit_width=0.1, mode_truncation=M)
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return grating_coefficients(spec)
+
+    monkeypatch.setattr(grating, "grating_coefficients", counted)
+    basis = _slit_basis(spec, D)
+    assert len(calls) == 1
+    slit = grating_coefficients(spec)
+    for d in range(D):
+        roots = np.exp(-2j * np.pi * (slit.modes * d % D) / D)
+        named = slit.coefficients * roots
+        assert np.array_equal(basis[:, d], named), d
+        assert np.array_equal(basis_wavefunction(spec, D, d).coefficients, named), d
 
 
 def test_gate_crosscheck_multiple_steps():
