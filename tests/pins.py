@@ -104,18 +104,13 @@ def _run(pin: dict, level: str | None) -> dict:
     return digests
 
 
-def pinned(pin: dict) -> dict:
-    """{output: sha256} the entry pins, golden references resolved."""
-    return {
-        output: GOLDEN[digest[0]][digest[1]] if isinstance(digest, list) else digest
-        for output, digest in pin["outputs"].items()
-    }
-
-
 def check(pin: dict) -> None:
     """Assert that the entry's command, at the host's dispatch, writes its pinned bytes."""
     digests = run(pin["id"])
-    for output, digest in pinned(pin).items():
+    for output, digest in pin["outputs"].items():
+        if isinstance(digest, list):
+            workload, name = digest
+            digest = GOLDEN[workload][name]
         assert digests.get(output) == digest, (
             f"{pin['id']}: `{command(pin)}` {output} was pinned at {digest}, "
             f"now hashes to {digests.get(output)}")
