@@ -3,9 +3,9 @@
 A carpet samples |psi(x, zeta)|^2 on a rectangular grid, x across one
 grating period and zeta along the propagation axis in carpet periods
 (twice the Talbot length per unit).  Programs interleave phase masks, and
-the field walks through them as in gate_crosscheck (propagation._walk): at
-each mask it is projected onto the slit basis, phased and resynthesized, the
-residual recorded so a mask placed away from a revival plane is visible.
+the field walks through them (propagation._walk): at each mask it is
+projected onto the slit basis, phased and resynthesized, the residual
+recorded so a mask placed away from a revival plane is visible.
 
 Rows are synthesized on the x-grid j / x_steps, where mode m is
 indistinguishable from FFT bin m mod x_steps: the paraxial phases of a
@@ -24,7 +24,7 @@ from .gauss import _integer, _read_only
 from .grating import (
     _BLOCK_ENTRIES,
     GratingSpec,
-    basis_wavefunction,
+    ModeField,
     grating_coefficients,
 )
 from .programs import OpticalProgram
@@ -134,8 +134,11 @@ def render_program_carpet(
     slit `initial_level`.  Masks act at their cumulative positions.
     """
     basis = _slit_basis(spec, program.dim)
-    start = basis_wavefunction(spec, program.dim, initial_level).normalized()
-    segments, residuals, _, _ = _walk(basis, program, start)
+    level = _integer(initial_level, "level")
+    if not 0 <= level < program.dim:
+        raise ValueError(f"level must satisfy 0 <= d < D, got {level}")
+    start = ModeField(basis[:, level], spec.mode_truncation).normalized()
+    segments, residuals = _walk(basis, program, start)
     total = program.total_distance
     if total == 0:
         raise ValueError("program has zero total propagation distance")

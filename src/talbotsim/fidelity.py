@@ -80,20 +80,6 @@ def synthesize_gaussian_comb(
     return SampledField(comb, extent, wavelength).normalized()
 
 
-def _revival_fidelities(field: SampledField, m_list):
-    """Yield (m, fidelity, report) for each m, from one spectrum of field.
-
-    Fidelity after m carpet periods (z = 2 m / wavelength in period
-    units).  Every step overwrites one buffer (see angular_spectrum), so
-    one propagated field lives at a time.
-    """
-    report, propagate = angular_spectrum(field)
-    for m in m_list:
-        propagated = propagate(2.0 * m / field.wavelength)
-        overlap = np.vdot(field.amplitudes, propagated.amplitudes) * field.dx
-        yield m, float(abs(overlap) ** 2), report
-
-
 def fidelity_sweep(
     n_slits=DEFAULT_N_SLITS,
     m_list=DEFAULT_M_LIST,
@@ -118,24 +104,22 @@ def fidelity_sweep(
     spec = GratingSpec(slit_width=slit_width, mode_truncation=mode_truncation)
     rows: list[FidelityRow] = []
     for n in n_slits:
-        # the generator holds the only reference to this width's field, so
-        # the field is freed with it, before the next width is synthesized
-        revivals = _revival_fidelities(
-            synthesize_gaussian_comb(
-                spec, n, wavelength, n_x=n_x, extent_factor=extent_factor
-            ),
-            m_list,
-        )
-        for m, fidelity, report in revivals:
+        field = synthesize_gaussian_comb(spec, n, wavelength, n_x=n_x, extent_factor=extent_factor)
+        report, propagate = angular_spectrum(field)
+        for m in m_list:
+            z = 2.0 * m / wavelength  # m carpet periods, in period units
+            overlap = np.vdot(field.amplitudes, propagate(z).amplitudes) * field.dx
             rows.append(
                 FidelityRow(
                     n_slits=n,
                     talbot_periods=m,
-                    fidelity=fidelity,
+                    fidelity=float(abs(overlap) ** 2),
                     dropped_norm_fraction=report.dropped_norm_fraction,
                     aliasing_risk=report.aliasing_risk,
                 )
             )
+        # this width's field and buffer go before the next width is synthesized
+        del field, propagate
     if include_periodic_control:
         comb = grating_coefficients(spec).normalized()
         for m in m_list:

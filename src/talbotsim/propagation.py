@@ -16,7 +16,7 @@ import numpy as np
 from .gates import talbot_cycle_length, talbot_unitary
 from .gauss import _integer, _read_only, _root_of_unity
 from .grating import GratingSpec, ModeField, _slit_states
-from .programs import OpticalProgram, PhaseMask, Propagate
+from .programs import OpticalProgram, PhaseMask
 
 __all__ = [
     "propagate_paraxial",
@@ -103,7 +103,7 @@ def _walk(basis: np.ndarray, program: OpticalProgram, start: ModeField):
     """Walk `start` through `program`, one slit state per column of `basis`.
 
     Each mask projects onto the slit states, phases and resynthesizes.  Returns
-    segments [(zeta_start, ModeField)], mask residuals, end weights, end residual.
+    segments [(zeta_start, ModeField)] and the mask residuals.
     """
     segments, residuals = [(Fraction(0), start)], []
     masks = [step for step in program.steps if isinstance(step, PhaseMask)]
@@ -114,10 +114,7 @@ def _walk(basis: np.ndarray, program: OpticalProgram, start: ModeField):
         residuals.append(residual)
         masked = basis @ (weights * np.exp(1j * np.asarray(mask.phases)))
         segments.append((z, ModeField(masked, start.truncation)))
-    z0, field = segments[-1]
-    arrived = propagate_paraxial(field, program.total_distance - z0)
-    weights, residual, _ = _project(basis, arrived.coefficients)
-    return segments, residuals, weights, residual
+    return segments, residuals
 
 
 @dataclass(frozen=True)
@@ -206,10 +203,13 @@ def gate_crosscheck(
         spec = GratingSpec(slit_width=1.0 / (2 * D), mode_truncation=256)
     r = talbot_cycle_length(D)
     basis = _slit_basis(spec, D)
-    program = OpticalProgram(D, (Propagate(Fraction(q % r, r)),))  # Propagate refuses q < 0
-    walks = [_walk(basis, program, ModeField(column, spec.mode_truncation)) for column in basis.T]
-    reconstructed = np.column_stack([weights for _, _, weights, _ in walks])
-    max_residual = max(residual for _, _, _, residual in walks)
+    M = spec.mode_truncation
+    projections = [
+        _project(basis, propagate_paraxial(ModeField(column, M), Fraction(q, r)).coefficients)
+        for column in basis.T
+    ]
+    reconstructed = np.column_stack([weights for weights, _, _ in projections])
+    max_residual = max(residual for _, residual, _ in projections)
     deviation = float(np.abs(reconstructed - talbot_unitary(D, q)).max())
     return CrosscheckResult(D, q, deviation, max_residual)
 

@@ -15,7 +15,12 @@ Each entry of pins.json is one ``python -m talbotsim`` command:
   there (null for a test that checks several entries at once).
 
 A re-pin edits one entry and adds a CHANGES.md line with the old and new
-hash, the command and the largest numeric change in the output.
+hash, the command and the largest numeric change in the output.  report()
+gives those lines for two source trees; from the repository root,
+
+    PYTHONPATH=src python tests/pins.py OLD_SRC NEW_SRC [ID ...]
+
+prints them for every entry, or for the named ones.
 """
 
 import concurrent.futures
@@ -24,10 +29,12 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
 
+import numpy as np
 from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 import talbotsim
@@ -84,9 +91,19 @@ def _runs(level: str | None) -> dict:
 
 
 def _run(pin: dict, level: str | None) -> dict:
+    return {name: _sha256(data) for name, data in _outputs(pin, level, SOURCE).items()}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _outputs(pin: dict, level: str | None, source: str) -> dict:
+    """{output: bytes} of stdout and every file the entry's command writes,
+    with the package imported from the source tree `source`."""
     threads = str(pin["threads"])
     env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(filter(None, [SOURCE, os.environ.get("PYTHONPATH")])))
+               PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
     if level is not None:
         env["NPY_DISABLE_CPU_FEATURES"] = disabled(level)
     inputs = pin.get("inputs", [])
@@ -97,11 +114,11 @@ def _run(pin: dict, level: str | None) -> dict:
                                 env=env, capture_output=True)
         assert result.returncode == 0, (
             f"{pin['id']}: `{command(pin)}` exited {result.returncode}: {result.stderr.decode()}")
-        digests = {"stdout": hashlib.sha256(result.stdout).hexdigest()}
+        outputs = {"stdout": result.stdout}
         for path in sorted(pathlib.Path(workdir).iterdir()):
             if path.name not in inputs:
-                digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
+                outputs[path.name] = path.read_bytes()
+    return outputs
 
 
 def check(pin: dict) -> None:
@@ -114,3 +131,76 @@ def check(pin: dict) -> None:
         assert digests.get(output) == digest, (
             f"{pin['id']}: `{command(pin)}` {output} was pinned at {digest}, "
             f"now hashes to {digests.get(output)}")
+
+
+def report(old_src, new_src, ids=None) -> list:
+    """One line per pinned output whose sha256 moves from old_src to new_src.
+
+    Each entry (every one, or those named in `ids`) runs at its thread count
+    with the package imported from each source tree in turn.  A line names
+    the entry, its command, the output, both hashes and largest_change(); an
+    output that a tree does not write compares as empty.
+    """
+    known = [pin["id"] for pin in PINS]
+    unknown = sorted(set(ids or ()) - set(known))
+    if unknown:
+        raise ValueError(f"no pin entry {', '.join(unknown)}; entries are {', '.join(known)}")
+    sources = [str(pathlib.Path(src).resolve()) for src in (old_src, new_src)]
+    lines = []
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        for pin in PINS:
+            if ids is not None and pin["id"] not in ids:
+                continue
+            old, new = pool.map(lambda source: _outputs(pin, None, source), sources)
+            for name in pin["outputs"]:
+                before, after = old.get(name, b""), new.get(name, b"")
+                if before != after:
+                    lines.append(f"{pin['id']}: `{command(pin)}` {name} {_sha256(before)} -> "
+                                 f"{_sha256(after)}: {largest_change(before, after)}")
+    return lines
+
+
+# A decimal number, with its sign, as JSON, CSV and the stdout texts write it.
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan)")
+
+
+def largest_change(old: bytes, new: bytes) -> str:
+    """The largest numeric change from old to new output bytes, in words.
+
+    A PGM compares its levels.  Text (JSON, CSV, stdout lines) compares line
+    by line every number, JSON's re and im cells included, and needs the
+    text between the numbers to match; otherwise the note names the shape,
+    line count or first line that changed.
+    """
+    if old.startswith(b"P5\n") and new.startswith(b"P5\n"):
+        # header "P5\n<width> <height>\n255\n", then one byte per level
+        _, old_size, _, old_levels = old.split(b"\n", 3)
+        _, new_size, _, new_levels = new.split(b"\n", 3)
+        if old_size != new_size:
+            return f"shape changed: {old_size.decode()} -> {new_size.decode()}"
+        change = np.abs(np.frombuffer(old_levels, np.uint8).astype(int)
+                        - np.frombuffer(new_levels, np.uint8))
+        return f"largest level change {change.max()}"
+    old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
+    if len(old_lines) != len(new_lines):
+        return f"line count changed: {len(old_lines)} -> {len(new_lines)}"
+    largest = 0.0
+    for number, (old_line, new_line) in enumerate(zip(old_lines, new_lines), 1):
+        before, after = _NUMBER.split(old_line), _NUMBER.split(new_line)
+        if before[::2] != after[::2]:
+            return f"line {number} changed beyond its numbers"
+        for x, y in zip(before[1::2], after[1::2]):
+            if x != y:
+                largest = max(largest, abs(float(x) - float(y)))
+    return f"largest numeric change {largest:.3g}"
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 3:
+        sys.exit(f"usage: python {sys.argv[0]} OLD_SRC NEW_SRC [ID ...]")
+    try:
+        lines = report(sys.argv[1], sys.argv[2], sys.argv[3:] or None)
+    except ValueError as error:
+        sys.exit(str(error))
+    for line in lines:
+        print(line)

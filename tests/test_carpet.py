@@ -16,7 +16,7 @@ from talbotsim import (
     render_carpet,
     render_program_carpet,
 )
-from talbotsim import carpet
+from talbotsim import carpet, grating
 
 import pins
 
@@ -96,6 +96,27 @@ def test_program_carpet_rejects_zero_distance():
     program = OpticalProgram(dim=2, steps=(PhaseMask((0.0, 1.0)),))
     with pytest.raises(ValueError, match="zero total"):
         render_program_carpet(spec, program)
+
+
+def test_program_carpet_builds_one_slit_spectrum(monkeypatch):
+    """The start state is a column of the slit basis, not a second spectrum."""
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return grating_coefficients(spec)
+
+    monkeypatch.setattr(grating, "grating_coefficients", counted)
+    spec = GratingSpec(slit_width=0.25, mode_truncation=32)
+    render_program_carpet(spec, hadamard_program(), z_steps=9, x_steps=16, initial_level=1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("level", [2, -1])
+def test_program_carpet_refuses_a_level_outside_the_encoding(level):
+    spec = GratingSpec(slit_width=0.25, mode_truncation=32)
+    with pytest.raises(ValueError, match=f"level must satisfy 0 <= d < D, got {level}"):
+        render_program_carpet(spec, hadamard_program(), initial_level=level)
 
 
 def test_grid_validation():

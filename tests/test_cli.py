@@ -271,6 +271,17 @@ def test_carpet_program_mode(runner, tmp_path):
     assert len(csv_lines) == header_index + 1 + 33 * 64
 
 
+def test_carpet_program_level_outside_the_encoding_is_named(runner, tmp_path):
+    program_path = tmp_path / "program.json"
+    program_path.write_text(json.dumps(pins.MANIFEST["inputs"]["program.json"]))
+    out = tmp_path / "program.pgm"
+    result = runner.invoke(main, ["carpet", "--slit-ratio", "0.125", "--program",
+                                  str(program_path), "--initial-level", "4", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "level must satisfy 0 <= d < D, got 4" in result.output
+    assert not out.exists()
+
+
 def test_carpet_rejects_invalid_spec(runner, tmp_path):
     result = runner.invoke(
         main, ["carpet", "--slit-ratio", "0", "--out", str(tmp_path / "x.pgm")]

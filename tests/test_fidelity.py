@@ -177,6 +177,10 @@ def test_custom_sweep_shapes():
     assert rows[0].fidelity > rows[1].fidelity
 
 
+def test_sweep_with_no_revival_orders_has_no_rows():
+    assert fidelity_sweep([5.0], []) == []
+
+
 def test_sweep_reads_each_iterable_once():
     rows = fidelity_sweep(
         n_slits=iter((8.0, 12.0)),

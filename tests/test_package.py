@@ -165,6 +165,7 @@ def test_private_names_crossing_module_boundaries_are_the_listed_few():
 
 _SPEC = talbotsim.GratingSpec(slit_width=0.125, mode_truncation=16)
 _PROGRAM = talbotsim.OpticalProgram(2, (talbotsim.Propagate(Fraction(1, 4)),))
+_PROGRAM_3 = talbotsim.OpticalProgram(3, (talbotsim.Propagate(Fraction(1, 3)),))
 # Public functions that take a dimension, a level or a step count, each
 # with the argument under test as `n`.
 INTEGER_ARGUMENTS = {
@@ -184,6 +185,8 @@ INTEGER_ARGUMENTS = {
         _SPEC, _PROGRAM, z_steps=n, x_steps=8),
     "render_program_carpet-x": lambda n: talbotsim.render_program_carpet(
         _SPEC, _PROGRAM, z_steps=3, x_steps=n),
+    "render_program_carpet-level": lambda n: talbotsim.render_program_carpet(
+        _SPEC, _PROGRAM_3, z_steps=3, x_steps=8, initial_level=n),
 }
 
 

@@ -1,7 +1,10 @@
 """The pin manifest, tests/pins.json, is consistent with itself and with the goldens."""
 
 import collections
+import json
 import re
+
+import pytest
 
 import pins
 
@@ -39,3 +42,36 @@ def test_moves_name_only_known_levels_and_inputs_only_known_files():
         assert set(pin["moves"]) <= set(pins.LEVELS), pin["id"]
         assert all(reason for reason in pin["moves"].values()), pin["id"]
         assert set(pin.get("inputs", [])) <= set(pins.MANIFEST["inputs"]), pin["id"]
+
+
+def test_report_of_a_tree_against_itself_is_empty():
+    assert pins.report(pins.SOURCE, pins.SOURCE, ["gate-5-3", "carpet-csv-program"]) == []
+
+
+def test_report_refuses_an_unknown_entry():
+    with pytest.raises(ValueError, match="no pin entry gate-0"):
+        pins.report(pins.SOURCE, pins.SOURCE, ["gate-0"])
+
+
+def _gate_json(im: float) -> bytes:
+    return json.dumps({"dim": 1, "entries": [[{"re": 0.5, "im": im}]]}, indent=2).encode()
+
+
+def _pgm(width: int, levels: list) -> bytes:
+    return f"P5\n{width} {len(levels) // width}\n255\n".encode() + bytes(levels)
+
+
+@pytest.mark.parametrize("old,new,change", [
+    (_gate_json(-0.25), _gate_json(-0.2505), "largest numeric change 0.0005"),
+    (b"zeta,x,intensity\n0.0,0.0,0.25\n0.5,0.5,1.0\n",
+     b"zeta,x,intensity\n0.0,0.0,0.25\n0.5,0.5,0.9999999999999998\n",
+     "largest numeric change 2.22e-16"),
+    (b"zeta,x,intensity\n0.0,0.0,0.25\n",
+     b"zeta,x,intensity\n0.0,0.0,0.25\n0.5,0.0,1.0\n", "line count changed: 2 -> 3"),
+    (b"zeta,x,intensity\n0.0,0.0,0.25\n", b"zeta,x,level\n0.0,0.0,0.25\n",
+     "line 1 changed beyond its numbers"),
+    (_pgm(2, [0, 10, 20, 255]), _pgm(2, [0, 13, 20, 251]), "largest level change 4"),
+    (_pgm(2, [0, 10, 20, 255]), _pgm(4, [0, 10, 20, 255]), "shape changed: 2 2 -> 4 1"),
+], ids=["json", "csv", "csv-row-count", "csv-header", "pgm", "pgm-shape"])
+def test_largest_change(old, new, change):
+    assert pins.largest_change(old, new) == change
