@@ -150,13 +150,10 @@ def carpet(slit_ratio, truncation, zeta_min, zeta_max, z_steps, x_steps,
             "truncation": truncation,
             "mask_positions": ";".join(repr(p) for p in image.mask_positions),
         }
-        x = image.x.tolist()
-        rows = (
-            (zeta, xj, value)
-            for zeta, row in zip(image.zeta.tolist(), image.intensity)
-            for xj, value in zip(x, row.tolist())
-        )
-        _write(csv_path, write_csv, ["zeta", "x", "intensity"], rows, metadata)
+        columns = {"zeta": np.repeat(image.zeta, len(image.x)),
+                   "x": np.tile(image.x, len(image.zeta)),
+                   "intensity": image.intensity.ravel()}
+        _write(csv_path, write_csv, columns, metadata)
     for position, residual in zip(image.mask_positions, image.mask_residuals):
         click.echo(f"mask at zeta={position!r} projection_residual={residual:.3e}")
     for revival in detect_revivals(image):
@@ -201,7 +198,7 @@ def verify(suite: str, json_out: str | None) -> None:
 def fidelity(n_slits, m_max, slit_ratio, wavelength, truncation, n_x, extent_factor,
              periodic_control, out) -> None:
     """Tabulate revival fidelity against envelope width."""
-    from dataclasses import astuple, fields
+    from dataclasses import fields
 
     from .fidelity import FidelityRow, fidelity_sweep
     from .serialize import write_csv
@@ -229,8 +226,8 @@ def fidelity(n_slits, m_max, slit_ratio, wavelength, truncation, n_x, extent_fac
         "n_x": n_x,
         "extent_factor": extent_factor,
     }
-    header = [field.name for field in fields(FidelityRow)]
-    _emit(out, write_csv, header, (astuple(row) for row in rows), metadata)
+    columns = {f.name: [getattr(row, f.name) for row in rows] for f in fields(FidelityRow)}
+    _emit(out, write_csv, columns, metadata)
     if out is not None:
         click.echo(f"wrote {out}")
 
@@ -260,12 +257,9 @@ def prepare(theta, phi, out_prefix, slit_ratio, truncation, z_steps, x_steps) ->
     _write(out_prefix + "_carpet.pgm", write_pgm, image.intensity)
 
     masks = [step.phases for step in program.steps if isinstance(step, PhaseMask)]
-    mask_rows = [
-        (index, position, *phases)
-        for index, (position, phases) in enumerate(zip(image.mask_positions, masks))
-    ]
-    header = ["index", "zeta", *[f"phase_{d}" for d in range(program.dim)]]
-    _write(out_prefix + "_masks.csv", write_csv, header, mask_rows)
+    columns = {"index": range(len(masks)), "zeta": image.mask_positions}
+    columns.update({f"phase_{d}": [phases[d] for phases in masks] for d in range(program.dim)})
+    _write(out_prefix + "_masks.csv", write_csv, columns)
 
     probabilities = measure_probabilities(state)
     click.echo(f"population_0={float(probabilities[0])!r}")

@@ -10,19 +10,18 @@ path or a text stream a piece at a time (at most 512 cells of a matrix
 row, a block of CSV rows), so no writer holds the whole text in memory.
 A matrix cell is rendered once while its text is kept (a few rows of
 texts at most) and reused for every later entry with the same bytes, so
-a circulant gate or a CZ matrix renders few of its floats.  A CSV block
-renders each distinct float of a column once, so a carpet's coordinates
-are not rendered again on every row.
+a circulant gate or a CZ matrix renders few of its floats.  A CSV table
+comes as columns, and a float64 array column renders each distinct value
+once per block, so a carpet's coordinates are not rendered on every row.
+The program codec imports `programs` when called, not with this module.
 """
 
 import json
-from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 from .gauss import _integer
-from .programs import OpticalProgram, PhaseMask, Propagate
 
 __all__ = [
     "matrix_to_json",
@@ -55,7 +54,9 @@ def _json_integer(value, name: str) -> int:
     return _integer(value, name)
 
 
-def program_to_json(program: OpticalProgram) -> dict:
+def program_to_json(program) -> dict:
+    from .programs import Propagate
+
     steps = []
     for step in program.steps:
         if isinstance(step, Propagate):
@@ -72,8 +73,12 @@ def program_to_json(program: OpticalProgram) -> dict:
     return {"dim": program.dim, "steps": steps}
 
 
-def program_from_json(payload: dict) -> OpticalProgram:
+def program_from_json(payload: dict):
     """Inverse of program_to_json; a malformed payload raises ValueError."""
+    from fractions import Fraction
+
+    from .programs import OpticalProgram, PhaseMask, Propagate
+
     try:
         steps = []
         for index, entry in enumerate(payload["steps"]):
@@ -213,46 +218,43 @@ def write_pgm(path, intensity: np.ndarray) -> None:
 _CSV_BLOCK_ROWS = 1024
 
 
-def _csv_lines(header: list, rows, metadata: dict | None):
+def _csv_lines(columns: dict, metadata: dict | None):
     # The text in pieces of one block of rows each.  A block is rendered one
-    # column at a time, each distinct float of a column once, and its lines
-    # are joined in C; a carpet's coordinates repeat on every row.
-    if not header:
-        raise ValueError("a CSV table needs at least one column")
+    # column at a time and its lines are joined in C.
+    lengths = set(map(len, columns.values()))
+    if len(lengths) != 1:
+        raise ValueError(f"a CSV table needs one or more columns of one length, "
+                         f"got lengths {sorted(lengths)}")
     if metadata:
         for key, value in metadata.items():
             yield f"# {key}: {_render(value)}\n"
-    yield ",".join(header) + "\n"
-    rows = iter(rows)
-    while block := list(islice(rows, _CSV_BLOCK_ROWS)):
-        if set(map(len, block)) != {len(header)}:
-            raise ValueError(f"every CSV row must have the header's {len(header)} cells")
-        columns = map(_column_texts, zip(*block))
-        yield "\n".join(map(",".join, zip(*columns))) + "\n"
+    yield ",".join(columns) + "\n"
+    for lo in range(0, lengths.pop(), _CSV_BLOCK_ROWS):
+        texts = [_column_texts(cells[lo:lo + _CSV_BLOCK_ROWS]) for cells in columns.values()]
+        yield "\n".join(map(",".join, zip(*texts))) + "\n"
 
 
-def _column_texts(column: tuple) -> list:
-    # _render of each cell.  A column of Python floats renders each distinct
-    # value once, keyed on its 8 raw bytes so that 0.0 and -0.0 stay apart;
-    # its subclasses (np.float64 among them) go through _render.
-    if set(map(type, column)) != {float}:
-        return list(map(_render, column))
-    keys, inverse = np.unique(np.array(column).view(np.uint64), return_inverse=True)
+def _column_texts(cells) -> list:
+    # _render of each cell.  A float64 array renders each distinct value once,
+    # keyed on its 8 raw bytes so that 0.0 and -0.0 stay apart.
+    if not (isinstance(cells, np.ndarray) and cells.dtype == np.float64):
+        return list(map(_render, cells))
+    keys, inverse = np.unique(cells.view(np.uint64), return_inverse=True)
     texts = list(map(float.__repr__, keys.view(float).tolist()))
     return list(map(texts.__getitem__, inverse.tolist()))
 
 
-def write_csv(target, header: list, rows, metadata: dict | None = None) -> None:
-    """Write a CSV table to `target`, a path or a text stream.
+def write_csv(target, columns: dict, metadata: dict | None = None) -> None:
+    """Write `columns`, {header: cells}, as a CSV table to `target`, a path or a text stream.
 
+    Every column (a list, a range or a 1-d array) has the same length.
     Optional '# key: value' metadata lines come before the header.  Floats
     are rendered by repr so a reader recovers them exactly, bools as true
-    and false, other values through str; every row must have as many cells
-    as the header.  Rows are rendered in blocks, column by column, each
-    distinct float of a column once per block, and the text goes out one
-    block at a time, so `rows` can be a generator over a large table.
+    and false, other values through str.  Rows are rendered in blocks,
+    column by column, each distinct float of a float64 array once per
+    block, and the text goes out one block at a time.
     """
-    _write_chunks(target, _csv_lines(header, rows, metadata))
+    _write_chunks(target, _csv_lines(columns, metadata))
 
 
 def _write_chunks(target, chunks) -> None:

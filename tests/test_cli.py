@@ -730,11 +730,10 @@ def test_absurd_sizes_are_usage_errors(args):
     assert result.stdout == b""
 
 
-# `python -m talbotsim ARGS` that prints, at exit, the talbotsim modules it loaded.
+# `python -m talbotsim ARGS` that prints, at exit, every module it loaded.
 LIST_LOADED_MODULES = """
 import atexit, runpy, sys
-atexit.register(lambda: print(sorted(name for name in sys.modules
-                                     if name.startswith("talbotsim.")), file=sys.stderr))
+atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))
 sys.argv[0] = "talbotsim"
 runpy.run_module("talbotsim", run_name="__main__", alter_sys=True)
 """
@@ -747,13 +746,27 @@ def loaded_modules(args) -> set:
     return set(ast.literal_eval(result.stderr.decode().splitlines()[-1]))
 
 
+def talbotsim_modules(loaded: set) -> set:
+    return {name for name in loaded if name.startswith("talbotsim.")}
+
+
 def test_help_loads_only_the_cli():
-    assert loaded_modules(["--help"]) == {"talbotsim.cli"}
+    assert talbotsim_modules(loaded_modules(["--help"])) == {"talbotsim.cli"}
 
 
 def test_gate_loads_no_wave_optics_and_no_other_command():
-    unused = {"carpet", "fidelity", "grating", "measure", "photonpair", "propagation", "verify"}
-    assert not loaded_modules(["gate", "-d", "3"]) & {f"talbotsim.{name}" for name in unused}
+    # the program codec in serialize imports programs (and fractions) only when called
+    loaded = loaded_modules(["gate", "-d", "3"])
+    expected = {"cli", "gates", "gauss", "serialize"}
+    assert talbotsim_modules(loaded) == {f"talbotsim.{name}" for name in expected}
+    assert not loaded & {"fractions", "decimal"}
+
+
+def test_czgate_loads_no_wave_optics_and_no_other_command():
+    loaded = loaded_modules(["czgate", "-d", "3", "-k", "1"])
+    expected = {"cli", "gauss", "photonpair", "serialize"}
+    assert talbotsim_modules(loaded) == {f"talbotsim.{name}" for name in expected}
+    assert not loaded & {"fractions", "decimal"}
 
 
 def test_cli_literals_are_the_library_values():

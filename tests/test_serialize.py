@@ -58,9 +58,9 @@ def _streamed(payload: dict) -> str:
     return stream.getvalue()
 
 
-def _csv_text(header: list, rows, metadata: dict | None = None) -> str:
+def _csv_text(columns: dict, metadata: dict | None = None) -> str:
     stream = io.StringIO()
-    write_csv(stream, header, rows, metadata)
+    write_csv(stream, columns, metadata)
     return stream.getvalue()
 
 
@@ -398,8 +398,7 @@ def test_write_pgm_validation(tmp_path):
 
 def test_format_csv_rendering():
     text = _csv_text(
-        ["n", "value", "flag"],
-        [[np.int64(3), np.float64(0.1), True], [4, 0.25, np.False_]],
+        {"n": [np.int64(3), 4], "value": [np.float64(0.1), 0.25], "flag": [True, np.False_]},
         metadata={"slit_width": 0.5, "note": "x"},
     )
     # numpy scalars must render like their Python counterparts
@@ -413,36 +412,41 @@ def test_format_csv_rendering():
 
 
 def test_format_csv_without_metadata():
-    text = _csv_text(["a"], [[1.5]])
+    text = _csv_text({"a": [1.5]})
     assert text == "a\n1.5\n"
+    assert _csv_text({"a": np.array([1.5])}) == text
     # repr floats survive eval round trip
     assert float(text.splitlines()[1]) == 1.5
 
 
 @pytest.mark.parametrize("metadata", [None, {"slit_width": np.float64(0.5), "flag": True}])
 def test_write_csv_bytes_equal_format_csv(tmp_path, metadata):
-    header = ["n", "value", "flag"]
-    rows = [[np.int64(3), np.float64(0.1), True], [4, 1e-300, np.False_], [-1, 2.0, "x"]]
+    columns = {
+        "n": [np.int64(3), 4, -1],
+        "value": np.array([0.1, 1e-300, 2.0]),
+        "flag": [True, np.False_, "x"],
+    }
     path = tmp_path / "table.csv"
-    write_csv(path, header, iter(rows), metadata)
-    assert path.read_bytes() == _csv_text(header, rows, metadata).encode("ascii")
+    write_csv(path, columns, metadata)
+    assert path.read_bytes() == _csv_text(columns, metadata).encode("ascii")
 
 
-def _per_cell_csv(header, rows, metadata) -> str:
-    """The CSV text rendered cell by cell, the writer's reference."""
+def _per_cell_csv(columns, metadata) -> str:
+    """The CSV text rendered cell by cell, row by row: the writer's reference."""
     lines = [f"# {key}: {_render(value)}\n" for key, value in (metadata or {}).items()]
-    lines.append(",".join(header) + "\n")
-    lines.extend(",".join(_render(value) for value in row) + "\n" for row in rows)
+    lines.append(",".join(columns) + "\n")
+    lines.extend(",".join(map(_render, row)) + "\n" for row in zip(*columns.values()))
     return "".join(lines)
 
 
 CSV_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, float("nan"), float("inf"),
               float("-inf"), 0.1, 1e-7, 2.5]
 csv_floats = st.one_of(st.sampled_from(CSV_FLOATS), st.floats())
-# each kind renders its own way; a column of Python floats takes the writer's
-# distinct-value path, and "float|np.float64" must not
+# each kind renders its own way; a float64 array takes the writer's
+# distinct-value path, and a list of floats or np.float64 must not
 CSV_CELLS = {
     "float": csv_floats,
+    "float64 array": csv_floats,
     "int": st.integers(),
     "bool": st.booleans(),
     "np.float64": csv_floats.map(np.float64),
@@ -453,10 +457,14 @@ CSV_CELLS = {
 }
 
 
-def _pooled_rows(pools, n_rows: int, rng) -> list:
-    # rows drawn from a few values per column, so a column repeats its cells
-    # as a carpet's coordinates do, and 0.0 and -0.0 meet in one block
-    return [tuple(rng.choice(pool) for pool in pools) for _ in range(n_rows)]
+def _pooled_columns(kinds, pools, n_rows: int, rng) -> dict:
+    # columns drawn from a few values each, so a column repeats its cells as
+    # a carpet's coordinates do, and 0.0 and -0.0 meet in one block
+    columns = {}
+    for index, (kind, pool) in enumerate(zip(kinds, pools)):
+        cells = [rng.choice(pool) for _ in range(n_rows)]
+        columns[f"c{index}"] = np.array(cells, dtype=float) if kind == "float64 array" else cells
+    return columns
 
 
 @st.composite
@@ -464,20 +472,21 @@ def csv_tables(draw):
     kinds = draw(st.lists(st.sampled_from(sorted(CSV_CELLS)), min_size=1, max_size=4))
     pools = [draw(st.lists(CSV_CELLS[kind], min_size=1, max_size=8)) for kind in kinds]
     n_rows = draw(st.one_of(st.integers(0, 8), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1])))
-    rows = _pooled_rows(pools, n_rows, draw(st.randoms(use_true_random=False)))
+    columns = _pooled_columns(kinds, pools, n_rows, draw(st.randoms(use_true_random=False)))
     metadata = draw(st.one_of(st.none(), st.fixed_dictionaries(
         {"slit_ratio": csv_floats, "flag": st.booleans(), "note": CSV_CELLS["str"]})))
-    return [f"c{index}" for index in range(len(kinds))], rows, metadata
+    return columns, metadata
 
 
-# a Python-float column with both zeros, a column mixing float and
-# np.float64, and a column of other kinds, across block boundaries
+# a float64 array with both zeros, a list mixing float and np.float64, and
+# a list of other kinds, across block boundaries
+EDGE_KINDS = ["float64 array", "float|np.float64", "other"]
 EDGE_POOLS = [[0.0, -0.0, 0.5], [np.float64(-0.0), 0.0, 5e-324], [1, True, "x"]]
 
 
 def _edge_table(n_rows: int, columns: int = 3, metadata=None):
-    header = ["a", "b", "c"][:columns]
-    return header, _pooled_rows(EDGE_POOLS[:columns], n_rows, random.Random(n_rows)), metadata
+    return _pooled_columns(EDGE_KINDS[:columns], EDGE_POOLS[:columns], n_rows,
+                           random.Random(n_rows)), metadata
 
 
 @settings(max_examples=150, deadline=None)
@@ -488,36 +497,41 @@ def _edge_table(n_rows: int, columns: int = 3, metadata=None):
 @example(table=_edge_table(BLOCK))
 @example(table=_edge_table(BLOCK + 1))
 def test_csv_writers_equal_per_cell_rendering(tmp_path_factory, table):
-    header, rows, metadata = table
-    expected = _per_cell_csv(header, rows, metadata)
-    assert _csv_text(header, iter(rows), metadata) == expected
+    columns, metadata = table
+    expected = _per_cell_csv(columns, metadata)
+    assert _csv_text(columns, metadata) == expected
     path = tmp_path_factory.getbasetemp() / "table.csv"
-    write_csv(path, header, (row for row in rows), metadata)
+    write_csv(path, columns, metadata)
     assert path.read_bytes() == expected.encode("ascii")
 
 
 def test_csv_rows_must_match_the_header():
-    with pytest.raises(ValueError, match="header's 2 cells"):
-        _csv_text(["a", "b"], [[1.0, 2.0]] * BLOCK + [[3.0]])
-    with pytest.raises(ValueError, match="header's 1 cells"):
-        _csv_text(["a"], [[1.0, 2.0]])
-    with pytest.raises(ValueError, match="at least one column"):
-        _csv_text([], [[]])
+    # every column has one length, so every row has the header's cells
+    for short, long in [(BLOCK, BLOCK + 1), (1, 2), (0, 1)]:
+        for columns in ({"a": [1.0] * long, "b": np.ones(short)},
+                        {"a": np.ones(short), "b": [2.0] * long}):
+            with pytest.raises(ValueError, match=f"one length, got lengths \\[{short}, {long}\\]"):
+                _csv_text(columns)
+    with pytest.raises(ValueError, match="one or more columns"):
+        _csv_text({})
+
+
+def test_csv_of_zero_rows_is_metadata_and_header():
+    columns = {"zeta": np.array([]), "x": [], "index": range(0)}
+    assert _csv_text(columns, {"slit_ratio": 0.5}) == "# slit_ratio: 0.5\nzeta,x,index\n"
+    assert _csv_text(columns) == "zeta,x,index\n"
 
 
 def test_write_csv_memory_is_one_block(tmp_path):
-    # the rows the carpet command writes at the benchmark size: 33,024 lines
+    # the columns the carpet command writes at the benchmark size: 33,024 lines
     image = render_carpet(GratingSpec(slit_width=0.5, mode_truncation=128), (0.0, 1.0), 129, 256)
-    x = image.x.tolist()
-    rows = (
-        (zeta, xj, value)
-        for zeta, row in zip(image.zeta.tolist(), image.intensity)
-        for xj, value in zip(x, row.tolist())
-    )
+    columns = {"zeta": np.repeat(image.zeta, len(image.x)),
+               "x": np.tile(image.x, len(image.zeta)),
+               "intensity": image.intensity.ravel()}
     path = tmp_path / "carpet.csv"
     tracemalloc.start()
     try:
-        write_csv(path, ["zeta", "x", "intensity"], rows, {"slit_ratio": 0.5})
+        write_csv(path, columns, {"slit_ratio": 0.5})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
