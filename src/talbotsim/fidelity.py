@@ -128,7 +128,7 @@ def fidelity_sweep(
                 FidelityRow(
                     n_slits=float("inf"),
                     talbot_periods=m,
-                    fidelity=float(abs(comb.inner(revived)) ** 2),
+                    fidelity=float(abs(np.vdot(comb.coefficients, revived.coefficients)) ** 2),
                     dropped_norm_fraction=0.0,
                     aliasing_risk=False,
                     periodic_control=True,

@@ -90,14 +90,6 @@ class ModeField:
             raise ValueError("cannot normalize the zero field")
         return ModeField(self.coefficients / n, self.truncation)
 
-    def inner(self, other: "ModeField") -> complex:
-        """<self|other> over one period; truncations must match."""
-        if other.truncation != self.truncation:
-            raise ValueError(
-                f"truncation mismatch: {self.truncation} vs {other.truncation}"
-            )
-        return complex(np.vdot(self.coefficients, other.coefficients))
-
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Complex field values at positions x (in periods), as a flat vector.
 

@@ -39,13 +39,16 @@ def _paraxial_phases(m: np.ndarray, zeta) -> np.ndarray:
     """exp(-2i pi m^2 zeta) for integer modes m.
 
     A Fraction zeta with a small enough denominator r is exact: the phase
-    comes from the integer residue q m^2 mod r.  Any other zeta is taken as
-    float, reduced mod 1, and may be an array: the result then has one row
-    of phases per zeta value.
+    comes from the integer residue q m^2 mod r.  A Fraction with a larger r
+    is reduced mod 1 exactly before it becomes a float.  Any other zeta is
+    taken as float, reduced mod 1, and may be an array: the result then has
+    one row of phases per zeta value.
     """
-    if isinstance(zeta, Fraction) and zeta.denominator <= _MAX_EXACT_DENOMINATOR:
+    if isinstance(zeta, Fraction):
         r = zeta.denominator
-        return _root_of_unity((m * m) % r * (zeta.numerator % r), r, -1)
+        if r <= _MAX_EXACT_DENOMINATOR:
+            return _root_of_unity((m * m) % r * (zeta.numerator % r), r, -1)
+        zeta %= 1
     frac = np.mod(np.asarray(zeta, dtype=float), 1.0)
     return np.exp(-2j * np.pi * np.mod(np.multiply.outer(frac, m.astype(float) ** 2), 1.0))
 

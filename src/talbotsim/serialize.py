@@ -82,13 +82,19 @@ def program_from_json(payload: dict):
     try:
         steps = []
         for index, entry in enumerate(payload["steps"]):
-            if "propagate" in entry:
+            kinds = sorted(entry) if isinstance(entry, dict) else entry
+            if kinds == ["propagate"]:
+                if sorted(entry["propagate"]) != ["den", "num"]:
+                    raise ValueError(f"step {index}: propagate takes num and den only")
                 num, den = (_json_integer(entry["propagate"][key], key) for key in ("num", "den"))
                 steps.append(Propagate(Fraction(num, den)))
-            elif "phase_mask" in entry:
+            elif kinds == ["phase_mask"]:
+                for p in entry["phase_mask"]:
+                    if isinstance(p, bool) or not isinstance(p, (int, float)):
+                        raise ValueError(f"step {index}: a phase must be a number, got {p!r}")
                 steps.append(PhaseMask(tuple(float(p) for p in entry["phase_mask"])))
             else:
-                raise ValueError(f"step {index}: unknown step kind {sorted(entry)}")
+                raise ValueError(f"step {index}: expected one step kind, got {kinds!r}")
         return OpticalProgram(dim=_json_integer(payload["dim"], "dim"), steps=tuple(steps))
     except (KeyError, TypeError, ArithmeticError) as error:
         raise ValueError(f"malformed program: {type(error).__name__}: {error}") from error

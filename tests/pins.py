@@ -20,7 +20,8 @@ gives those lines for two source trees; from the repository root,
 
     PYTHONPATH=src python tests/pins.py OLD_SRC NEW_SRC [ID ...]
 
-prints them for every entry, or for the named ones.
+prints them for every entry, or for the named ones, then a summary line
+with the entries run and the outputs moved; it exits 1 if any output moved.
 """
 
 import concurrent.futures
@@ -198,9 +199,14 @@ def largest_change(old: bytes, new: bytes) -> str:
 if __name__ == "__main__":
     if len(sys.argv) < 3:
         sys.exit(f"usage: python {sys.argv[0]} OLD_SRC NEW_SRC [ID ...]")
+    ids = sys.argv[3:] or None
     try:
-        lines = report(sys.argv[1], sys.argv[2], sys.argv[3:] or None)
+        lines = report(sys.argv[1], sys.argv[2], ids)
     except ValueError as error:
         sys.exit(str(error))
     for line in lines:
         print(line)
+    # report() refuses an unknown id, so every distinct id named an entry
+    entries = len(set(ids)) if ids else len(PINS)
+    print(f"entries run: {entries}, outputs moved: {len(lines)}")
+    sys.exit(1 if lines else 0)

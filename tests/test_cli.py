@@ -494,6 +494,11 @@ MALFORMED_PROGRAMS = {
     "nan-phase": '{"dim": 2, "steps": [{"phase_mask": [0.0, NaN]}]}',
     "fractional-num": '{"dim": 2, "steps": [{"propagate": {"num": 1.5, "den": 4}}]}',
     "bool-den": '{"dim": 2, "steps": [{"propagate": {"num": 1, "den": true}}]}',
+    "two-kinds": '{"dim": 2, "steps": [{"propagate": {"num": 1, "den": 4}, '
+                 '"phase_mask": [0.0, 1.0]}]}',
+    "propagate-extra-key": '{"dim": 2, "steps": [{"propagate": {"num": 1, "den": 4, "q": 3}}]}',
+    "bool-phase": '{"dim": 2, "steps": [{"propagate": {"num": 1, "den": 4}}, '
+                  '{"phase_mask": [true, false]}, {"propagate": {"num": 1, "den": 4}}]}',
     "not-json": "{",
 }
 
@@ -502,6 +507,13 @@ FOUR_LEVEL_PROGRAM = ('{"dim": 4, "steps": [{"propagate": {"num": 1, "den": 8}},
                       '{"propagate": {"num": 1, "den": 8}}]}')
 
 FAR_PROGRAM = json.dumps({"dim": 2, "steps": [{"propagate": {"num": 10**400, "den": 4}}]})
+
+# a denominator past the exact-residue bound, whose numerator no float holds
+FAR_MASKED_PROGRAM = json.dumps({"dim": 2, "steps": [
+    {"propagate": {"num": 10**400, "den": 10**10 + 1}},
+    {"phase_mask": [0.0, 1.0]},
+    {"propagate": {"num": 1, "den": 4}},
+]})
 
 BAD_INPUT = {
     "gate-dim-0": ["gate", "-d", "0"],
@@ -545,6 +557,9 @@ BAD_INPUT = {
                                    "--out", "out.pgm"],
     # a valid program whose total distance no float holds
     "carpet-program-distance-overflow": ["carpet", "--program", "far.json", "--out", "out.pgm"],
+    # it raised OverflowError in the mask walk, before the span was checked
+    "carpet-program-distance-unreduced": ["carpet", "--program", "far-masked.json", "--out",
+                                          "out.pgm"],
     "prepare-theta-inf": ["prepare", "--theta", "inf", "--phi", "0", "--out-prefix", "out"],
     **{
         f"program-{name}": ["carpet", "--program", name, "--out", "out.pgm"]
@@ -562,6 +577,7 @@ def test_bad_input_is_a_usage_error(runner, tmp_path, monkeypatch, args):
     # slits of ratio 1/2 (the default) at four sites tile the period: rank 3
     (tmp_path / "four-level.json").write_text(FOUR_LEVEL_PROGRAM)
     (tmp_path / "far.json").write_text(FAR_PROGRAM)
+    (tmp_path / "far-masked.json").write_text(FAR_MASKED_PROGRAM)
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)

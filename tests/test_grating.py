@@ -226,14 +226,6 @@ def test_basis_level_validation():
         basis_wavefunction(spec, 0, 0)
 
 
-def test_mode_field_validation_and_inner():
-    spec = GratingSpec(slit_width=0.25, mode_truncation=32)
-    f = grating_coefficients(spec)
-    assert abs(f.inner(f) - f.norm() ** 2) < 1e-14
-    with pytest.raises(ValueError):
-        f.inner(grating_coefficients(GratingSpec(slit_width=0.25, mode_truncation=16)))
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         GratingSpec(slit_width=0.0)

@@ -2,7 +2,10 @@
 
 import collections
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -46,6 +49,15 @@ def test_moves_name_only_known_levels_and_inputs_only_known_files():
 
 def test_report_of_a_tree_against_itself_is_empty():
     assert pins.report(pins.SOURCE, pins.SOURCE, ["gate-5-3", "carpet-csv-program"]) == []
+
+
+def test_report_command_ends_with_a_summary_and_exits_0_when_nothing_moved():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [pins.SOURCE, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, str(pins.HERE / "pins.py"), pins.SOURCE,
+                             pins.SOURCE, "gate-5-3"], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "entries run: 1, outputs moved: 0\n"
 
 
 def test_report_refuses_an_unknown_entry():

@@ -122,10 +122,16 @@ def test_program_json_structure():
         {"dim": True, "steps": []},
         {"dim": 2, "steps": [{"propagate": {"num": "1", "den": 4}}]},
         {"dim": 2, "steps": [{"propagate": {"num": float("nan"), "den": 4}}]},
+        # these were read, dropping the mask, the key or the type
+        {"dim": 2, "steps": [{"propagate": {"num": 1, "den": 4}, "phase_mask": [0.0, 1.0]}]},
+        {"dim": 2, "steps": [{"propagate": {"num": 1, "den": 4, "q": 3}}]},
+        {"dim": 2, "steps": [{"phase_mask": [True, False]}]},
+        {"dim": 2, "steps": [{"phase_mask": ["1.5", 0.0]}]},
     ],
     ids=["zero-den", "inf-num", "steps-int", "step-int", "propagate-int", "no-dim",
          "top-level-list", "nan-phase", "fractional-num", "fractional-den", "bool-num",
-         "fractional-dim", "bool-dim", "string-num", "nan-num"],
+         "fractional-dim", "bool-dim", "string-num", "nan-num", "two-kinds",
+         "propagate-extra-key", "bool-phase", "string-phase"],
 )
 def test_program_from_json_malformed_payload_is_value_error(payload):
     with pytest.raises(ValueError):
