@@ -247,7 +247,7 @@ def prepare(theta, phi, out_prefix, slit_ratio, truncation, z_steps, x_steps) ->
     from .carpet import render_program_carpet
     from .grating import GratingSpec
     from .measure import measure_probabilities
-    from .programs import PhaseMask, prepare_bloch_state
+    from .programs import prepare_bloch_state
     from .serialize import program_to_json, write_csv, write_json, write_pgm
 
     program, state = prepare_bloch_state(theta, phi)
@@ -256,7 +256,7 @@ def prepare(theta, phi, out_prefix, slit_ratio, truncation, z_steps, x_steps) ->
     _write(out_prefix + "_program.json", write_json, program_to_json(program))
     _write(out_prefix + "_carpet.pgm", write_pgm, image.intensity)
 
-    masks = [step.phases for step in program.steps if isinstance(step, PhaseMask)]
+    masks = [mask.phases for _, mask in program.masks()]
     columns = {"index": range(len(masks)), "zeta": image.mask_positions}
     columns.update({f"phase_{d}": [phases[d] for phases in masks] for d in range(program.dim)})
     _write(out_prefix + "_masks.csv", write_csv, columns)

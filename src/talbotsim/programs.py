@@ -78,16 +78,16 @@ class OpticalProgram:
             Fraction(0),
         )
 
-    def mask_positions(self) -> list[Fraction]:
-        """Cumulative distance at which each mask sits."""
+    def masks(self) -> list[tuple[Fraction, PhaseMask]]:
+        """Each mask paired with the cumulative distance at which it sits."""
         z = Fraction(0)
-        positions = []
+        masks = []
         for step in self.steps:
             if isinstance(step, Propagate):
                 z += step.distance
             else:
-                positions.append(z)
-        return positions
+                masks.append((z, step))
+        return masks
 
 
 def compile_program(program: OpticalProgram) -> np.ndarray:

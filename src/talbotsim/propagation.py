@@ -16,7 +16,7 @@ import numpy as np
 from .gates import talbot_cycle_length, talbot_unitary
 from .gauss import _integer, _read_only, _root_of_unity
 from .grating import GratingSpec, ModeField, _slit_states
-from .programs import OpticalProgram, PhaseMask
+from .programs import OpticalProgram
 
 __all__ = [
     "propagate_paraxial",
@@ -29,26 +29,27 @@ __all__ = [
     "angular_spectrum",
 ]
 
-# Fractions with larger denominators carry no physical meaning and take the
-# float path; at or below it the residue product (m^2 mod r) * q stays under
-# 10^18, inside int64.
+# Switches between the two integer paths: at or below it the residue
+# product (m^2 mod r) * q stays under 10^18, inside int64; above it the
+# residues are taken in Python ints.
 _MAX_EXACT_DENOMINATOR = 10**9
 
 
 def _paraxial_phases(m: np.ndarray, zeta) -> np.ndarray:
     """exp(-2i pi m^2 zeta) for integer modes m.
 
-    A Fraction zeta with a small enough denominator r is exact: the phase
-    comes from the integer residue q m^2 mod r.  A Fraction with a larger r
-    is reduced mod 1 exactly before it becomes a float.  Any other zeta is
-    taken as float, reduced mod 1, and may be an array: the result then has
-    one row of phases per zeta value.
+    A Fraction zeta is exact: the phase comes from the integer residue
+    q m^2 mod r, and above the int64 bound each phase takes the correctly
+    rounded p / r of two Python ints.  Any other zeta is taken as float,
+    reduced mod 1, and may be an array: the result then has one row of
+    phases per zeta value.
     """
     if isinstance(zeta, Fraction):
         r = zeta.denominator
         if r <= _MAX_EXACT_DENOMINATOR:
             return _root_of_unity((m * m) % r * (zeta.numerator % r), r, -1)
-        zeta %= 1
+        residues = m.astype(object) ** 2 * (zeta.numerator % r) % r
+        return np.exp(-2j * np.pi * (residues / r).astype(float))
     frac = np.mod(np.asarray(zeta, dtype=float), 1.0)
     return np.exp(-2j * np.pi * np.mod(np.multiply.outer(frac, m.astype(float) ** 2), 1.0))
 
@@ -109,8 +110,7 @@ def _walk(basis: np.ndarray, program: OpticalProgram, start: ModeField):
     segments [(zeta_start, ModeField)] and the mask residuals.
     """
     segments, residuals = [(Fraction(0), start)], []
-    masks = [step for step in program.steps if isinstance(step, PhaseMask)]
-    for z, mask in zip(program.mask_positions(), masks):
+    for z, mask in program.masks():
         z0, field = segments[-1]
         arrived = propagate_paraxial(field, z - z0)
         weights, residual, _ = _project(basis, arrived.coefficients)

@@ -35,6 +35,24 @@ from .propagation import gate_crosscheck
 __all__ = ["run_suite", "format_report"]
 
 
+def _clifford_residual(u: np.ndarray, q: int) -> float:
+    """Largest deviation of a q-step gate's first column u from a Clifford one.
+
+    Every Talbot power maps the clock Z to c X^a Z: a = q mod D and
+    c = exp(i pi q / D) for even D, a = 2q mod D and c = exp(2i pi q / D)
+    for odd D.  On a circulant's first column that reads
+    u[n] = c w^(n - a) u[n - a], indices mod D, with w = exp(2i pi / D).
+    Nothing here comes from the gate builder.
+    """
+    D = len(u)
+    if D % 2 == 0:
+        a, c = q % D, np.exp(1j * np.pi * q / D)
+    else:
+        a, c = 2 * q % D, np.exp(2j * np.pi * q / D)
+    shifted = (np.arange(D) - a) % D
+    return np.abs(u - c * np.exp(2j * np.pi * shifted / D) * u[shifted]).max()
+
+
 def _algebra():
     for D in range(2, 13):
         U = talbot_unitary(D, 1)
@@ -54,6 +72,12 @@ def _algebra():
         direct = np.exp(-2j * np.pi * ((n * n - n[:, None] * n) % r) / r).mean(axis=1)
         yield (f"closed form D={D}",
                np.abs(gauss_coefficients(1, r) - direct).max(), 1e-12)
+        # with circulant structure and the closed form's b_0, the Clifford
+        # relation fixes the whole gate
+        yield f"clifford D={D} q=1", _clifford_residual(column, 1), 1e-12
+        yield (f"clifford D={D} q={r - 1}",
+               _clifford_residual(talbot_unitary(D, r - 1)[:, 0], r - 1), 1e-12)
+    yield "clifford D=256 q=1", _clifford_residual(talbot_unitary(256, 1)[:, 0], 1), 1e-12
     # qubit landmarks
     landmark = np.exp(-1j * np.pi / 4) / np.sqrt(2) * np.array([[1, 1j], [1j, 1]])
     yield "qubit quarter step", np.abs(talbot_unitary(2, 1) - landmark).max(), 1e-12

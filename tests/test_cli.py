@@ -87,10 +87,10 @@ def test_verify_all_suites(runner, tmp_path):
     assert [f"{c['suite']}: {c['name']}" for c in checks if not c["passed"]] == []
     assert result.exit_code == 0
     assert result.output.splitlines()[-1] == "suite 'all': all checks passed"
-    assert len(checks) == 137
+    assert len(checks) == 160
     names = "\n".join(f"{check['suite']}: {check['name']}" for check in checks)
     assert hashlib.sha256(names.encode()).hexdigest() == (
-        "49ef755fe839b13a15f3543b784d7ebb59fe12b6c5ee2b1533d75bedca7eaa14"
+        "93b03565eba130dbabea04d7fb513ad2f68754a07cc1012b011d62f92cfedc6b"
     )
 
 
@@ -118,6 +118,50 @@ def test_verify_fails_on_a_unitary_reflection_sign_flip(runner, monkeypatch):
     assert len(closed) == 9
     assert not any(check["passed"] for check in closed)
     assert runner.invoke(main, ["verify", "--suite", "czgate"]).exit_code == 1
+
+
+def test_clifford_certificate_holds_for_every_talbot_power():
+    # 1.3e-14 at worst; the certificate takes only the first column
+    from talbotsim.gates import talbot_cycle_length
+
+    for D in range(1, 41):
+        for q in range(-3, talbot_cycle_length(D) + 2):
+            assert verify._clifford_residual(talbot_unitary(D, q)[:, 0], q) <= 1e-12, (D, q)
+
+
+def test_verify_clifford_rows_see_a_scaled_step_weight(monkeypatch):
+    # one step weight off by 1e-11 keeps every group law within 1e-10;
+    # past the qubit landmarks only the Clifford relation sees it
+    from talbotsim import gates
+
+    original = gates.talbot_step_coefficients
+
+    def scaled(D):
+        weights = original(D).copy()
+        weights[0] *= 1 + 1e-11
+        return weights
+
+    monkeypatch.setattr(gates, "talbot_step_coefficients", scaled)
+    failed = [c["name"] for c in verify.run_suite("all")["checks"] if not c["passed"]]
+    assert "clifford D=7 q=1" in failed and "clifford D=8 q=15" in failed
+    assert {name for name in failed if not name.startswith("clifford")} == {
+        "qubit quarter step", "qubit half step = X", "hadamard program"
+    }
+
+
+def test_verify_clifford_rows_fail_a_non_quadratic_mask_sandwich(monkeypatch):
+    # a random mask on either side keeps the gate unitary but breaks the
+    # quadratic phase that makes it Clifford
+    rng = np.random.default_rng(7)
+
+    def sandwiched(D, q=1):
+        mask = np.exp(1j * rng.uniform(-np.pi, np.pi, D))
+        return mask[:, None] * talbot_unitary(D, q) * mask.conj()
+
+    monkeypatch.setattr(verify, "talbot_unitary", sandwiched)
+    rows = [c for c in verify.run_suite("algebra")["checks"] if c["name"].startswith("clifford")]
+    assert len(rows) == 23
+    assert not any(row["passed"] for row in rows)
 
 
 def test_verify_library_error_is_a_failure_not_a_usage_error(runner, monkeypatch, tmp_path):

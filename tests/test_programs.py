@@ -74,7 +74,10 @@ def test_mask_positions_and_total_distance():
         ),
     )
     assert program.total_distance == Fraction(3, 4)
-    assert program.mask_positions() == [Fraction(1, 4), Fraction(3, 4)]
+    assert program.masks() == [
+        (Fraction(1, 4), program.steps[1]),
+        (Fraction(3, 4), program.steps[3]),
+    ]
 
 
 def test_hadamard_program_matches_matrix():
@@ -83,7 +86,7 @@ def test_hadamard_program_matches_matrix():
     assert np.abs(matrix - hadamard).max() < 1e-12
     assert np.abs(compile_program(program) - hadamard).max() < 1e-12
     assert program.total_distance == Fraction(1, 2)
-    assert program.mask_positions() == [Fraction(1, 4)]
+    assert program.masks() == [(Fraction(1, 4), program.steps[1])]
     assert np.abs(compile_program(hadamard_program()) - hadamard).max() < 1e-12
 
 
