@@ -17,6 +17,7 @@ from talbotsim import (
     hadamard_program,
     program_from_json,
     program_to_json,
+    talbot_cycle_length,
     talbot_unitary,
     verify,
 )
@@ -122,8 +123,6 @@ def test_verify_fails_on_a_unitary_reflection_sign_flip(runner, monkeypatch):
 
 def test_clifford_certificate_holds_for_every_talbot_power():
     # 1.3e-14 at worst; the certificate takes only the first column
-    from talbotsim.gates import talbot_cycle_length
-
     for D in range(1, 41):
         for q in range(-3, talbot_cycle_length(D) + 2):
             assert verify._clifford_residual(talbot_unitary(D, q)[:, 0], q) <= 1e-12, (D, q)
