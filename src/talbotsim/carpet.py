@@ -138,7 +138,7 @@ def render_program_carpet(
     level = _integer(initial_level, "level")
     if not 0 <= level < program.dim:
         raise ValueError(f"level must satisfy 0 <= d < D, got {level}")
-    start = ModeField(basis[:, level], spec.mode_truncation).normalized()
+    start = ModeField(basis[:, level]).normalized()
     segments, residuals = _walk(basis, program, start)
     total = program.total_distance
     if total == 0:

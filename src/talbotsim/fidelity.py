@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .gauss import _integer
 from .grating import GratingSpec, grating_coefficients
 from .propagation import SampledField, angular_spectrum, propagate_paraxial
 
@@ -48,18 +49,15 @@ class FidelityRow:
 def synthesize_gaussian_comb(
     spec: GratingSpec,
     sigma: float,
-    wavelength: float,
     n_x: int = DEFAULT_SAMPLES,
     extent_factor: float = DEFAULT_EXTENT_FACTOR,
 ) -> SampledField:
     """Sample the truncated slit comb times a Gaussian envelope.
 
     The envelope is exp(-x^2 / (2 sigma^2)); sigma, in periods, also
-    counts the illuminated slits.  The field carries wavelength (the ratio
-    lambda/period) to the angular-spectrum propagator; the comb itself does
-    not depend on it.  The grid spans extent_factor * sigma;
-    factors below 8 are refused because the wrapped tails would alias
-    through the periodic FFT boundary.
+    counts the illuminated slits.  The grid of n_x samples, a power of
+    two, spans extent_factor * sigma; factors below 8 are refused because
+    the wrapped tails would alias through the periodic FFT boundary.
     """
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -69,15 +67,17 @@ def synthesize_gaussian_comb(
         raise ValueError(
             f"extent_factor must be finite and >= {MIN_EXTENT_FACTOR}, got {extent_factor}"
         )
-    n = int(n_x)
+    n = _integer(n_x, "n_x")
     if n < 2 or n & (n - 1):
         raise ValueError(f"n_x must be a power of two >= 2, got {n_x}")
     extent = extent_factor * sigma
+    if not extent < math.inf:
+        raise ValueError(f"extent_factor {extent_factor} times sigma {sigma} overflows")
     x = (np.arange(n) - n // 2) * (extent / n)
     comb = grating_coefficients(spec).evaluate(x)
     comb *= np.exp(-(x**2) / (2.0 * sigma**2))
     del x
-    return SampledField(comb, extent, wavelength).normalized()
+    return SampledField(comb, extent).normalized()
 
 
 def fidelity_sweep(
@@ -100,12 +100,12 @@ def fidelity_sweep(
     read once.
     """
     n_slits = tuple(float(n) for n in n_slits)
-    m_list = tuple(int(m) for m in m_list)
+    m_list = tuple(_integer(m, "revival order") for m in m_list)
     spec = GratingSpec(slit_width=slit_width, mode_truncation=mode_truncation)
     rows: list[FidelityRow] = []
     for n in n_slits:
-        field = synthesize_gaussian_comb(spec, n, wavelength, n_x=n_x, extent_factor=extent_factor)
-        report, propagate = angular_spectrum(field)
+        field = synthesize_gaussian_comb(spec, n, n_x=n_x, extent_factor=extent_factor)
+        report, propagate = angular_spectrum(field, wavelength)
         for m in m_list:
             z = 2.0 * m / wavelength  # m carpet periods, in period units
             overlap = np.vdot(field.amplitudes, propagate(z).amplitudes) * field.dx

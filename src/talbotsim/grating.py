@@ -64,17 +64,18 @@ class ModeField:
     """Complex amplitudes on modes exp(2i pi m x), m = -truncation..truncation."""
 
     coefficients: np.ndarray
-    truncation: int
 
     def __post_init__(self):
-        object.__setattr__(self, "truncation", _integer(self.truncation, "truncation"))
         coeffs = _read_only(self.coefficients, complex)
-        if coeffs.shape != (2 * self.truncation + 1,):
+        if coeffs.ndim != 1 or len(coeffs) % 2 == 0:
             raise ValueError(
-                f"expected {2 * self.truncation + 1} coefficients for "
-                f"truncation {self.truncation}, got shape {coeffs.shape}"
+                f"coefficients must be a 1-d vector of odd length, got shape {coeffs.shape}"
             )
         object.__setattr__(self, "coefficients", coeffs)
+
+    @property
+    def truncation(self) -> int:
+        return len(self.coefficients) // 2
 
     @property
     def modes(self) -> np.ndarray:
@@ -88,7 +89,7 @@ class ModeField:
         n = self.norm()
         if n == 0:
             raise ValueError("cannot normalize the zero field")
-        return ModeField(self.coefficients / n, self.truncation)
+        return ModeField(self.coefficients / n)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Complex field values at positions x (in periods), as a flat vector.
@@ -164,7 +165,7 @@ def grating_coefficients(spec: GratingSpec) -> ModeField:
         / (np.pi * mn * a)
     )
     coeffs[~nonzero] = a
-    return ModeField(coeffs, spec.mode_truncation)
+    return ModeField(coeffs)
 
 
 def basis_wavefunction(spec: GratingSpec, D: int, d: int) -> ModeField:
@@ -176,7 +177,7 @@ def basis_wavefunction(spec: GratingSpec, D: int, d: int) -> ModeField:
     D, d = _integer(D, "dimension", positive=True), _integer(d, "level")
     if not 0 <= d < D:
         raise ValueError(f"level must satisfy 0 <= d < D, got {d}")
-    return ModeField(_slit_states(spec, D, d), spec.mode_truncation)
+    return ModeField(_slit_states(spec, D, d))
 
 
 def _slit_states(spec: GratingSpec, D: int, levels) -> np.ndarray:

@@ -43,18 +43,16 @@ class SDBSSpec:
     with t_d conj(r_d) real.
     """
 
-    dim: int
     transmission: np.ndarray
     reflection: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "dimension", positive=True))
         t = _read_only(self.transmission, complex)
         r = _read_only(self.reflection, complex)
-        if t.shape != (self.dim,) or r.shape != (self.dim,):
+        if t.ndim != 1 or t.shape != r.shape or not len(t):
             raise ValueError(
-                f"transmission/reflection must have shape ({self.dim},), "
-                f"got {t.shape} and {r.shape}"
+                "transmission/reflection must be 1-d vectors of one nonzero length, "
+                f"got shapes {t.shape} and {r.shape}"
             )
         if not (np.isfinite(t).all() and np.isfinite(r).all()):
             raise ValueError("transmission/reflection amplitudes must be finite")
@@ -65,6 +63,10 @@ class SDBSSpec:
             raise ValueError("t_d conj(r_d) must be real for a unitary block")
         object.__setattr__(self, "transmission", t)
         object.__setattr__(self, "reflection", r)
+
+    @property
+    def dim(self) -> int:
+        return len(self.transmission)
 
 
 def _control(D, k) -> tuple[int, int]:
@@ -82,7 +84,7 @@ def control_splitter(D: int, k: int) -> SDBSSpec:
     r = np.ones(D)
     t[k] = 1.0 / math.sqrt(3.0)
     r[k] = math.sqrt(2.0 / 3.0)
-    return SDBSSpec(dim=D, transmission=t, reflection=r)
+    return SDBSSpec(transmission=t, reflection=r)
 
 
 def filter_splitter(D: int, k: int) -> SDBSSpec:
@@ -92,7 +94,7 @@ def filter_splitter(D: int, k: int) -> SDBSSpec:
     r = np.full(D, math.sqrt(2.0 / 3.0))
     t[k] = 1.0
     r[k] = 0.0
-    return SDBSSpec(dim=D, transmission=t, reflection=r)
+    return SDBSSpec(transmission=t, reflection=r)
 
 
 def sdbs_mode_map(spec: SDBSSpec) -> np.ndarray:

@@ -63,7 +63,7 @@ def propagate_paraxial(field: ModeField, zeta) -> ModeField:
     exact there too.
     """
     phases = _paraxial_phases(field.modes, zeta)
-    return ModeField(field.coefficients * phases, field.truncation)
+    return ModeField(field.coefficients * phases)
 
 
 def _slit_basis(spec: GratingSpec, D: int) -> np.ndarray:
@@ -116,7 +116,7 @@ def _walk(basis: np.ndarray, program: OpticalProgram, start: ModeField):
         weights, residual, _ = _project(basis, arrived.coefficients)
         residuals.append(residual)
         masked = basis @ (weights * np.exp(1j * np.asarray(mask.phases)))
-        segments.append((z, ModeField(masked, start.truncation)))
+        segments.append((z, ModeField(masked)))
     return segments, residuals
 
 
@@ -206,9 +206,8 @@ def gate_crosscheck(
         spec = GratingSpec(slit_width=1.0 / (2 * D), mode_truncation=256)
     r = talbot_cycle_length(D)
     basis = _slit_basis(spec, D)
-    M = spec.mode_truncation
     projections = [
-        _project(basis, propagate_paraxial(ModeField(column, M), Fraction(q, r)).coefficients)
+        _project(basis, propagate_paraxial(ModeField(column), Fraction(q, r)).coefficients)
         for column in basis.T
     ]
     reconstructed = np.column_stack([weights for weights, _, _ in projections])
@@ -227,7 +226,6 @@ class SampledField:
 
     amplitudes: np.ndarray
     extent: float
-    wavelength: float
 
     def __post_init__(self):
         amps = _read_only(self.amplitudes, complex)
@@ -238,13 +236,6 @@ class SampledField:
             raise ValueError(f"sample count must be a power of two >= 2, got {n}")
         if not 0 < self.extent < math.inf:
             raise ValueError(f"extent must be positive and finite, got {self.extent}")
-        if not 0 < self.wavelength < math.inf:
-            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength}")
-        wavenumber = 2.0 * math.pi / self.wavelength
-        if not wavenumber * wavenumber < math.inf:
-            raise ValueError(
-                f"wavelength {self.wavelength} is too small: (2 pi / wavelength)^2 overflows"
-            )
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -277,7 +268,7 @@ class SampledField:
         # NaN, inf or all-zero samples instead of raising
         if not (n < math.inf and np.isfinite(amplitudes).all()):
             raise ValueError(f"cannot normalize a field of norm {n}")
-        return SampledField(amplitudes, self.extent, self.wavelength)
+        return SampledField(amplitudes, self.extent)
 
 
 @dataclass(frozen=True)
@@ -290,15 +281,15 @@ class PropagationReport:
     grid_spacing_over_quarter_wavelength: float
 
 
-def angular_spectrum(field: SampledField):
-    """Exact scalar propagation of `field`: (report, propagate).
+def angular_spectrum(field: SampledField, wavelength: float):
+    """Exact scalar propagation of `field` at `wavelength`: (report, propagate).
 
-    propagate(z) returns the field propagated by distance z (same length
-    units as extent).  Each spatial frequency kx advances by
-    exp(i z sqrt(k^2 - kx^2)); evanescent components (|kx| > k) are dropped
-    and the lost norm fraction reported.  `aliasing_risk` flags spectral
-    energy within 10% of the Nyquist edge, where the periodic grid no
-    longer represents free space faithfully.  A grid spacing at or below a
+    propagate(z) returns the field propagated by distance z; wavelength, z
+    and the field's extent share one length unit.  Each spatial frequency kx
+    advances by exp(i z sqrt(k^2 - kx^2)); evanescent components (|kx| > k)
+    are dropped and the lost norm fraction reported.  `aliasing_risk` flags
+    spectral energy within 10% of the Nyquist edge, where the periodic grid
+    no longer represents free space faithfully.  A grid spacing at or below a
     quarter wavelength resolves every propagating frequency; coarser grids
     remain exact for fields that are band-limited well inside the Nyquist
     window, so the spacing ratio is reported rather than enforced.  None of
@@ -317,11 +308,15 @@ def angular_spectrum(field: SampledField):
     returned field is a read-only view of that buffer, valid until the
     next call: copy its amplitudes to keep them.
     """
+    if not 0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    k = 2.0 * np.pi / wavelength
+    if not k * k < math.inf:
+        raise ValueError(f"wavelength {wavelength} is too small: (2 pi / wavelength)^2 overflows")
     n = len(field.amplitudes)
     dx = field.dx
     spectrum = np.fft.fft(field.amplitudes)
     kx = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    k = 2.0 * np.pi / field.wavelength
 
     total_power = float(np.abs(spectrum) ** 2 @ np.ones(n))
     evanescent = np.abs(kx) > k
@@ -335,7 +330,7 @@ def angular_spectrum(field: SampledField):
         dropped_norm_fraction=dropped / total_power if total_power > 0 else 0.0,
         evanescent_mode_count=int(evanescent.sum()),
         aliasing_risk=bool(total_power > 0 and edge_power / total_power > 1e-12),
-        grid_spacing_over_quarter_wavelength=float(dx / (field.wavelength / 4.0)),
+        grid_spacing_over_quarter_wavelength=float(dx / (wavelength / 4.0)),
     )
     kept = n // 2 + 1 - int(evanescent[: n // 2 + 1].sum())
     mirror = n - kept + 1
@@ -358,6 +353,6 @@ def angular_spectrum(field: SampledField):
         # the previous call's inverse FFT filled the gap
         propagated[kept:mirror] = 0
         np.fft.ifft(propagated, out=propagated)
-        return SampledField(propagated, field.extent, field.wavelength)
+        return SampledField(propagated, field.extent)
 
     return report, propagate

@@ -110,7 +110,7 @@ def test_verify_fails_on_a_unitary_reflection_sign_flip(runner, monkeypatch):
 
     def flipped(D, k):
         spec = original(D, k)
-        return photonpair.SDBSSpec(D, spec.transmission, -spec.reflection)
+        return photonpair.SDBSSpec(spec.transmission, -spec.reflection)
 
     monkeypatch.setattr(photonpair, "control_splitter", flipped)
     result = verify.run_suite("czgate")
@@ -171,7 +171,7 @@ def test_verify_library_error_is_a_failure_not_a_usage_error(runner, monkeypatch
     from talbotsim import photonpair
 
     def unbalanced(D, k):
-        return photonpair.SDBSSpec(D, np.full(D, 3 ** -0.5), np.full(D, (2 / 3) ** 0.5))
+        return photonpair.SDBSSpec(np.full(D, 3 ** -0.5), np.full(D, (2 / 3) ** 0.5))
 
     monkeypatch.setattr(photonpair, "filter_splitter", unbalanced)
     report = tmp_path / "report.json"
@@ -568,6 +568,9 @@ BAD_INPUT = {
     "fidelity-wavelength-inf": ["fidelity", "--wavelength", "inf"],
     "fidelity-n-x-0": ["fidelity", "--n-x", "0"],
     "fidelity-n-x-negative": ["fidelity", "--n-x", "-4"],
+    # extent_factor * sigma overflows to inf, so the sample positions are NaN
+    "fidelity-extent-overflow": ["fidelity", "--n-slits", "5", "--m-max", "1",
+                                 "--extent-factor", "1e308", "--n-x", "1024"],
     # sigma**2 underflows to 0, which the envelope divides by, or overflows
     "fidelity-n-slits-tiny": ["fidelity", "--n-slits", "1e-300", "--n-x", "1024",
                               "--m-max", "2"],
@@ -638,6 +641,15 @@ def test_slit_ratio_whose_amplitudes_underflow_is_named(runner, tmp_path, monkey
     assert result.exit_code == 2
     ratio = BAD_INPUT[name][2]
     assert f"slit_width {ratio} is too small: pi * slit_width^2 underflows" in result.output
+
+
+def test_extent_that_overflows_is_named(runner, tmp_path, monkeypatch):
+    # without the check, evaluate refused the NaN positions: "positions must
+    # be finite, got nan"
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, BAD_INPUT["fidelity-extent-overflow"])
+    assert result.exit_code == 2
+    assert "extent_factor 1e+308 times sigma 5.0 overflows" in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ SPEC = GratingSpec(slit_width=0.5, mode_truncation=4)
 
 
 def test_synthesize_gaussian_comb_properties():
-    field = synthesize_gaussian_comb(SPEC, 5.0, 0.01, n_x=2**12)
+    field = synthesize_gaussian_comb(SPEC, 5.0, n_x=2**12)
     assert abs(field.norm() - 1.0) < 1e-12
     assert field.extent == 16.0 * 5.0
     # envelope center dominates edges
@@ -139,7 +139,7 @@ def test_synthesize_gaussian_comb_properties():
 def test_synthesize_refuses_bad_sigma():
     for bad in (0.0, -5.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
-            synthesize_gaussian_comb(SPEC, bad, 0.01)
+            synthesize_gaussian_comb(SPEC, bad)
 
 
 @pytest.mark.parametrize("sigma", [1e300, 1e-300])
@@ -147,20 +147,35 @@ def test_synthesize_refuses_sigma_whose_square_leaves_the_float_range(sigma):
     # 1e300 overflowed at sigma**2 with an OverflowError; 1e-300 squared to
     # 0 and divided the envelope by zero into a NaN norm
     with pytest.raises(ValueError, match=re.escape(f"sigma {sigma} is out of range")):
-        synthesize_gaussian_comb(SPEC, sigma, 0.01, n_x=2**10)
+        synthesize_gaussian_comb(SPEC, sigma, n_x=2**10)
 
 
 def test_synthesize_refuses_bad_sample_count():
     # n_x = 0 divided by zero before SampledField could check it
     for bad in (0, -4, 3, 1000):
         with pytest.raises(ValueError, match=f"n_x must be a power of two >= 2, got {bad}$"):
-            synthesize_gaussian_comb(SPEC, 5.0, 0.01, n_x=bad)
+            synthesize_gaussian_comb(SPEC, 5.0, n_x=bad)
 
 
 def test_synthesize_refuses_tight_extent():
     for bad in (4.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="extent_factor"):
-            synthesize_gaussian_comb(SPEC, 5.0, 0.01, extent_factor=bad)
+            synthesize_gaussian_comb(SPEC, 5.0, extent_factor=bad)
+
+
+def test_synthesize_names_an_extent_that_overflows():
+    # 1e308 * 5 is inf, and evaluate used to refuse the NaN positions
+    message = "extent_factor 1e+308 times sigma 5.0 overflows"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        synthesize_gaussian_comb(SPEC, 5.0, n_x=2**10, extent_factor=1e308)
+
+
+def test_sample_counts_and_revival_orders_take_numpy_integers():
+    # n_x and the revival orders follow the package's integer rule, which
+    # test_package checks for floats, bools and strings
+    assert len(synthesize_gaussian_comb(SPEC, 5.0, n_x=np.int64(2**10)).amplitudes) == 2**10
+    [row] = fidelity_sweep(n_slits=(5.0,), m_list=[np.int64(1)], n_x=2**10)
+    assert type(row.talbot_periods) is int
 
 
 def test_revival_fidelity_drops_with_distance():

@@ -254,15 +254,19 @@ def test_the_smallest_slit_widths_keep_exact_amplitudes(a):
 def test_mode_counts_must_be_integers(bad):
     with pytest.raises(ValueError, match="must be an integer"):
         GratingSpec(mode_truncation=bad)
-    with pytest.raises(ValueError, match="must be an integer"):
-        ModeField(np.zeros(6), bad)
     assert GratingSpec(mode_truncation=np.int64(3)).mode_truncation == 3
-    assert ModeField(np.zeros(7), np.int64(3)).truncation == 3
 
 
 def test_mode_counts_are_stored_as_ints():
     assert type(GratingSpec(mode_truncation=np.int64(3)).mode_truncation) is int
-    assert type(ModeField(np.zeros(7), np.int64(3)).truncation) is int
+    assert type(ModeField(np.zeros(7)).truncation) is int
+    assert ModeField(np.zeros(7)).truncation == 3
+
+
+@pytest.mark.parametrize("shape", [(6,), (0,), (3, 3)], ids=["even", "empty", "matrix"])
+def test_mode_field_needs_an_odd_vector(shape):
+    with pytest.raises(ValueError, match="1-d vector of odd length"):
+        ModeField(np.zeros(shape))
 
 
 @pytest.mark.parametrize("D", [2, 3, 4, 5])

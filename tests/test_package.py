@@ -1,6 +1,7 @@
 """Package boundary: the public names, no unused imports, no dead private helpers."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 from fractions import Fraction
@@ -154,6 +155,7 @@ def test_private_names_crossing_module_boundaries_are_the_listed_few():
     assert crossing == {
         "carpet": ["_BLOCK_ENTRIES", "_integer", "_paraxial_phases", "_read_only", "_slit_basis",
                    "_walk"],
+        "fidelity": ["_integer"],
         "gates": ["_integer", "_root_of_unity"],
         "grating": ["_integer", "_read_only", "_root_of_unity"],
         "photonpair": ["_integer", "_read_only"],
@@ -187,10 +189,14 @@ INTEGER_ARGUMENTS = {
         _SPEC, _PROGRAM, z_steps=3, x_steps=n),
     "render_program_carpet-level": lambda n: talbotsim.render_program_carpet(
         _SPEC, _PROGRAM_3, z_steps=3, x_steps=8, initial_level=n),
+    "synthesize_gaussian_comb": lambda n: talbotsim.synthesize_gaussian_comb(_SPEC, 1.0, n_x=n),
+    "fidelity_sweep": lambda n: talbotsim.fidelity_sweep([5.0], [n], n_x=2**10),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+@pytest.mark.parametrize(
+    "value", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "string"]
+)
 @pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
 def test_integer_arguments_refuse_floats_and_bools(call, value):
     # int() would truncate 2.5 and read True as 1; the package's one rule
@@ -203,9 +209,9 @@ def test_integer_arguments_refuse_floats_and_bools(call, value):
 # Frozen classes that store arrays: a constructor from the caller's arrays,
 # their shapes, and the dtype the class stores, which they already have.
 FROZEN_ARRAYS = {
-    "ModeField": (lambda c: talbotsim.ModeField(c, 1), [(3,)], complex),
-    "SampledField": (lambda a: talbotsim.SampledField(a, 1.0, 0.5), [(4,)], complex),
-    "SDBSSpec": (lambda t, r: talbotsim.SDBSSpec(2, t, r), [(2,), (2,)], complex),
+    "ModeField": (talbotsim.ModeField, [(3,)], complex),
+    "SampledField": (lambda a: talbotsim.SampledField(a, 1.0), [(4,)], complex),
+    "SDBSSpec": (talbotsim.SDBSSpec, [(2,), (2,)], complex),
     "PostSelectedOperator": (lambda diagonal: talbotsim.PostSelectedOperator(2, 1, diagonal),
                              [(4,)], complex),
     "CarpetImage": (talbotsim.CarpetImage, [(2, 3), (2,), (3,)], float),
@@ -223,3 +229,16 @@ def test_frozen_classes_store_a_read_only_view_of_the_callers_array(build, shape
         assert array.flags.writeable
         assert not value.flags.writeable
         assert np.shares_memory(array, value)
+
+
+def test_sizes_are_read_from_the_arrays():
+    # a stored size could only repeat, or contradict, the arrays' own length
+    fields = {
+        cls.__name__: [field.name for field in dataclasses.fields(cls)]
+        for cls in (talbotsim.ModeField, talbotsim.SDBSSpec, talbotsim.SampledField)
+    }
+    assert fields == {
+        "ModeField": ["coefficients"],
+        "SDBSSpec": ["transmission", "reflection"],
+        "SampledField": ["amplitudes", "extent"],
+    }

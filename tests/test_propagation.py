@@ -103,7 +103,7 @@ def test_exact_phases_match_python_int_arithmetic(r, q, modes):
 def test_exact_paraxial_has_no_int64_wrap_at_large_modes():
     # q * m^2 reaches 4e19 here, past int64; the phases must still be exact
     M, r = 200_000, 999_999_937
-    field = ModeField(np.ones(2 * M + 1), M)
+    field = ModeField(np.ones(2 * M + 1))
     got = propagate_paraxial(field, Fraction(r - 1, r)).coefficients
     exponent = np.array([((r - 1) * m * m) % r for m in range(-M, M + 1)])
     assert np.array_equal(got, np.exp(-2j * np.pi * exponent / r))
@@ -120,7 +120,7 @@ def test_exact_paraxial_has_no_int64_wrap_at_large_modes():
 def test_fraction_past_the_exact_bound_is_reduced_before_it_becomes_a_float(zeta, M):
     # converted unreduced, the M = 64 cases lost 5.1e-6 and 2.9e-9 of phase;
     # reduced mod 1 but multiplied by m^2 in float, M = 65,536 lost 8.5e-7
-    got = propagate_paraxial(ModeField(np.ones(2 * M + 1), M), zeta).coefficients
+    got = propagate_paraxial(ModeField(np.ones(2 * M + 1)), zeta).coefficients
     r = zeta.denominator
     index = np.random.default_rng(0).choice(2 * M + 1, min(2 * M + 1, 200), replace=False)
     with mpmath.workdps(40):
@@ -324,7 +324,7 @@ def test_walk_reproduces_the_compiled_program(program, spec):
     compiled = compile_program(program)
     planes = [z for z, _ in program.masks()]
     for d, column in enumerate(basis.T):
-        segments, residuals = _walk(basis, program, ModeField(column, spec.mode_truncation))
+        segments, residuals = _walk(basis, program, ModeField(column))
         z0, field = segments[-1]
         arrived = propagate_paraxial(field, program.total_distance - z0)
         weights, residual, _ = _project(basis, arrived.coefficients)
@@ -336,33 +336,37 @@ def test_walk_reproduces_the_compiled_program(program, spec):
 
 def test_sampled_field_validation():
     with pytest.raises(ValueError, match="power of two"):
-        SampledField(np.ones(100), extent=1.0, wavelength=0.01)
+        SampledField(np.ones(100), extent=1.0)
     for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="extent must be positive and finite"):
-            SampledField(np.ones(64), extent=bad, wavelength=0.01)
-    for bad in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="wavelength must be positive and finite"):
-            SampledField(np.ones(64), extent=1.0, wavelength=bad)
+            SampledField(np.ones(64), extent=bad)
     # a NaN or infinite norm would divide into NaN or all-zero samples
     with pytest.raises(ValueError, match="cannot normalize a field of norm nan"):
-        SampledField(np.full(64, np.nan), extent=1.0, wavelength=0.01).normalized()
+        SampledField(np.full(64, np.nan), extent=1.0).normalized()
     with pytest.raises(ValueError, match="cannot normalize a field of norm inf"):
-        SampledField(np.r_[np.ones(63), np.inf], extent=1.0, wavelength=0.01).normalized()
+        SampledField(np.r_[np.ones(63), np.inf], extent=1.0).normalized()
+    field = SampledField(np.ones(64), extent=32.0)
+    assert field.dx == 0.5
+    assert abs(field.norm() - np.sqrt(64 * 0.5)) < 1e-12
+
+
+def test_angular_spectrum_validates_the_wavelength():
+    field = SampledField(np.ones(64), extent=1.0)
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+            angular_spectrum(field, bad)
     # (2 pi / wavelength)^2 overflowed in k**2, or k itself was infinite
     for tiny in (1e-300, 1e-320):
         with pytest.raises(ValueError, match=f"wavelength {tiny} is too small"):
-            SampledField(np.ones(64), extent=1.0, wavelength=tiny)
-    field = SampledField(np.ones(64), extent=32.0, wavelength=0.01)
-    assert field.dx == 0.5
-    assert abs(field.norm() - np.sqrt(64 * 0.5)) < 1e-12
+            angular_spectrum(field, tiny)
 
 
 def test_angular_spectrum_zero_distance_identity():
     # grid carries frequencies up to 8 cycles/unit; cutoff 1/wavelength = 4
     rng = np.random.default_rng(5)
     amplitudes = rng.normal(size=256) + 1j * rng.normal(size=256)
-    field = SampledField(amplitudes, extent=16.0, wavelength=0.25)
-    report, propagate = angular_spectrum(field)
+    field = SampledField(amplitudes, extent=16.0)
+    report, propagate = angular_spectrum(field, 0.25)
     out = propagate(0.0)
     assert report.dropped_norm_fraction > 0.0
     assert report.evanescent_mode_count > 0
@@ -372,8 +376,8 @@ def test_angular_spectrum_zero_distance_identity():
 
 def test_angular_spectrum_plane_wave_phase():
     n = 1024
-    field = SampledField(np.ones(n), extent=64.0, wavelength=0.01)
-    report, propagate = angular_spectrum(field)
+    field = SampledField(np.ones(n), extent=64.0)
+    report, propagate = angular_spectrum(field, 0.01)
     out = propagate(3.0)
     expected = cmath.exp(2j * cmath.pi / 0.01 * 3.0)
     assert np.abs(out.amplitudes - expected).max() < 1e-10
@@ -391,9 +395,8 @@ def test_angular_spectrum_norm_conserved_when_band_limited():
     field = SampledField(
         np.exp(-(x**2) / 8.0) * np.exp(2j * np.pi * 3 * x),
         extent=extent,
-        wavelength=0.05,
     )
-    report, propagate = angular_spectrum(field)
+    report, propagate = angular_spectrum(field, 0.05)
     out = propagate(7.5)
     assert report.dropped_norm_fraction < 1e-20
     assert abs(out.norm() - field.norm()) < 1e-10
@@ -405,17 +408,17 @@ def test_angular_spectrum_aliasing_flag():
     x = (np.arange(n) - n // 2) * (extent / n)
     nyquist_frequency = n / (2 * extent)
     risky = np.exp(2j * np.pi * 0.97 * nyquist_frequency * x)
-    field = SampledField(risky, extent=extent, wavelength=1e-4)
-    report, _ = angular_spectrum(field)
+    field = SampledField(risky, extent=extent)
+    report, _ = angular_spectrum(field, 1e-4)
     assert report.aliasing_risk is True
-    smooth = SampledField(np.exp(-(x**2)), extent=extent, wavelength=1e-4)
-    report_smooth, _ = angular_spectrum(smooth)
+    smooth = SampledField(np.exp(-(x**2)), extent=extent)
+    report_smooth, _ = angular_spectrum(smooth, 1e-4)
     assert report_smooth.aliasing_risk is False
 
 
 def test_angular_spectrum_reports_grid_spacing_ratio():
-    field = SampledField(np.ones(64), extent=64.0, wavelength=0.5)
-    report, _ = angular_spectrum(field)
+    field = SampledField(np.ones(64), extent=64.0)
+    report, _ = angular_spectrum(field, 0.5)
     # dx = 1.0, quarter wavelength = 0.125
     assert abs(report.grid_spacing_over_quarter_wavelength - 8.0) < 1e-12
 
@@ -425,11 +428,11 @@ def test_one_spectrum_serves_every_distance_bitwise():
     # order must give the bytes of a fresh propagation at each z
     rng = np.random.default_rng(11)
     amplitudes = rng.normal(size=512) + 1j * rng.normal(size=512)
-    field = SampledField(amplitudes, extent=32.0, wavelength=0.1)
-    report, propagate = angular_spectrum(field)
+    field = SampledField(amplitudes, extent=32.0)
+    report, propagate = angular_spectrum(field, 0.1)
     for z in (40.0, 0.0, 3.5, 40.0):
         out = propagate(z)
-        fresh_report, fresh = angular_spectrum(field)
+        fresh_report, fresh = angular_spectrum(field, 0.1)
         assert out.amplitudes.tobytes() == fresh(z).amplitudes.tobytes()
         assert report == fresh_report
 
@@ -438,60 +441,61 @@ def test_consecutive_steps_each_match_a_fresh_propagation_bitwise():
     # every call reuses one buffer, which the previous inverse FFT filled:
     # each call must rewrite all of it, the evanescent gap included.  A
     # returned field is a read-only view, valid until the next call.
-    field = _random_field(1024, 0.3)  # bins -53..53 propagate
-    report, propagate = angular_spectrum(field)
+    field = _random_field(1024)
+    report, propagate = angular_spectrum(field, 0.3)  # bins -53..53 propagate
     assert report.evanescent_mode_count == 917
     for first, second in ((3.5, 200.0), (200.0, 200.0)):
         out = propagate(first)
         kept = out.amplitudes.copy()
         assert not out.amplitudes.flags.writeable
         again = propagate(second)
-        assert kept.tobytes() == angular_spectrum(field)[1](first).amplitudes.tobytes()
-        assert again.amplitudes.tobytes() == angular_spectrum(field)[1](second).amplitudes.tobytes()
+        assert kept.tobytes() == angular_spectrum(field, 0.3)[1](first).amplitudes.tobytes()
+        fresh = angular_spectrum(field, 0.3)[1](second)
+        assert again.amplitudes.tobytes() == fresh.amplitudes.tobytes()
 
 
 def test_normalizing_tiny_samples_scales_past_the_underflow():
     # each square underflows to 0, so the plain norm is 0 for a nonzero field
-    field = SampledField(np.full(64, 1e-200), extent=1.0, wavelength=0.01)
+    field = SampledField(np.full(64, 1e-200), extent=1.0)
     assert field.norm() == 1e-200
     assert np.abs(field.normalized().amplitudes - 1.0).max() < 1e-15
     with pytest.raises(ValueError, match="cannot normalize the zero field"):
-        SampledField(np.zeros(64), extent=1.0, wavelength=0.01).normalized()
+        SampledField(np.zeros(64), extent=1.0).normalized()
 
 
 
 def test_normalizing_a_subnormal_norm_does_not_overflow():
     # complex division multiplies by 1 / norm, which is inf for these norms
     for tiny in (1e-310, 5e-324):
-        field = SampledField(np.full(64, tiny), extent=1.0, wavelength=0.01)
+        field = SampledField(np.full(64, tiny), extent=1.0)
         assert field.norm() == tiny
         normalized = field.normalized()
         assert np.abs(normalized.amplitudes - 1.0).max() < 1e-15
         assert abs(normalized.norm() - 1.0) < 1e-15
 
-def _dense_angular_spectrum(field: SampledField, z: float) -> np.ndarray:
+def _dense_angular_spectrum(field: SampledField, wavelength: float, z: float) -> np.ndarray:
     """propagate(z) over all n bins, with the evanescent ones masked out."""
     n = len(field.amplitudes)
     spectrum = np.fft.fft(field.amplitudes)
     kx = 2.0 * np.pi * np.fft.fftfreq(n, d=field.dx)
-    k = 2.0 * np.pi / field.wavelength
+    k = 2.0 * np.pi / wavelength
     keep = ~(np.abs(kx) > k)
     kz = np.zeros(n)
     kz[keep] = np.sqrt(np.maximum(k**2 - kx[keep] ** 2, 0.0))
     return np.fft.ifft(np.where(keep, np.exp(1j * z * kz) * spectrum, 0.0))
 
 
-def _random_field(n: int, wavelength: float) -> SampledField:
+def _random_field(n: int) -> SampledField:
     rng = np.random.default_rng(n)
-    return SampledField(rng.normal(size=n) + 1j * rng.normal(size=n), 16.0, wavelength)
+    return SampledField(rng.normal(size=n) + 1j * rng.normal(size=n), 16.0)
 
 
-def _assert_matches_dense_reference(field: SampledField, evanescent: int) -> None:
-    report, propagate = angular_spectrum(field)
+def _assert_matches_dense_reference(field: SampledField, wavelength: float, evanescent: int):
+    report, propagate = angular_spectrum(field, wavelength)
     assert report.evanescent_mode_count == evanescent
     for z in (200.0, 0.0, 3.5, 2000.0, 200.0):
         out = propagate(z)
-        assert out.amplitudes.tobytes() == _dense_angular_spectrum(field, z).tobytes()
+        assert out.amplitudes.tobytes() == _dense_angular_spectrum(field, wavelength, z).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -504,7 +508,7 @@ def _assert_matches_dense_reference(field: SampledField, evanescent: int) -> Non
     ],
 )
 def test_angular_spectrum_matches_dense_reference_bitwise(n, wavelength, evanescent):
-    _assert_matches_dense_reference(_random_field(n, wavelength), evanescent)
+    _assert_matches_dense_reference(_random_field(n), wavelength, evanescent)
 
 
 @pytest.mark.parametrize("sigma,evanescent", [(5.0, 49535), (100.0, 0)])
@@ -512,18 +516,18 @@ def test_fidelity_grid_matches_dense_reference_bitwise(sigma, evanescent):
     # the default fidelity grid: sigma 5 drops most bins, sigma 100 keeps
     # every bin, the Nyquist bin included
     spec = GratingSpec(slit_width=0.5, mode_truncation=4)
-    _assert_matches_dense_reference(synthesize_gaussian_comb(spec, sigma, 0.01), evanescent)
+    _assert_matches_dense_reference(synthesize_gaussian_comb(spec, sigma), 0.01, evanescent)
 
 
 def test_one_angular_spectrum_step_allocates_about_one_field():
     n = 2**17
     field_bytes = n * 16
     # every bin propagates, so the phase spans the whole half-spectrum
-    field = _random_field(n, 1e-4)
+    field = _random_field(n)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        report, propagate = angular_spectrum(field)
+        report, propagate = angular_spectrum(field, 1e-4)
         held = tracemalloc.get_traced_memory()[0] - start
         propagate(1.0)
         tracemalloc.reset_peak()
@@ -550,12 +554,11 @@ def test_angular_spectrum_converges_to_paraxial_mode_phases():
     truncation = 2
     comb = grating_coefficients(GratingSpec(slit_width=0.5, mode_truncation=truncation))
     x = (np.arange(n) - n // 2) * (extent / n)
-    samples = comb.evaluate(x)
+    field = SampledField(comb.evaluate(x), extent=extent)
     z = 40.0
     deviations = []
     for lam in (0.02, 0.01, 0.005):
-        field = SampledField(samples, extent=extent, wavelength=lam)
-        out = angular_spectrum(field)[1](z)
+        out = angular_spectrum(field, lam)[1](z)
         paraxial = propagate_paraxial(comb, z * lam / 2.0)
         reference = paraxial.evaluate(x) * cmath.exp(2j * cmath.pi * z / lam)
         deviations.append(np.abs(out.amplitudes - reference).max())
