@@ -4,19 +4,18 @@ An infinite periodic comb revives perfectly every carpet period.  With a
 Gaussian envelope of width sigma (roughly sigma illuminated slits) the
 diffraction orders walk apart and the revival degrades; this module
 quantifies that with the full angular-spectrum propagator, no paraxial
-shortcut, and optionally appends the ideal periodic control computed in
-the mode picture.
+shortcut, and optionally appends the ideal periodic control, exact by
+the Talbot identity: exp(-2i pi m^2 zeta) = 1 for every mode at integer zeta.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .gauss import _integer
 from .grating import GratingSpec, grating_coefficients
-from .propagation import SampledField, angular_spectrum, propagate_paraxial
+from .propagation import SampledField, angular_spectrum
 
 __all__ = [
     "FidelityRow",
@@ -61,8 +60,10 @@ def synthesize_gaussian_comb(
     """
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    if not 0 < sigma * sigma < math.inf:
-        raise ValueError(f"sigma {sigma} is out of range: sigma^2 underflows or overflows")
+    if not (0 < sigma * sigma and 2.0 * sigma * sigma < math.inf):
+        raise ValueError(
+            f"sigma {sigma} is out of range: sigma^2 underflows or 2 sigma^2 overflows"
+        )
     if not MIN_EXTENT_FACTOR <= extent_factor < math.inf:
         raise ValueError(
             f"extent_factor must be finite and >= {MIN_EXTENT_FACTOR}, got {extent_factor}"
@@ -71,8 +72,12 @@ def synthesize_gaussian_comb(
     if n < 2 or n & (n - 1):
         raise ValueError(f"n_x must be a power of two >= 2, got {n_x}")
     extent = extent_factor * sigma
-    if not extent < math.inf:
-        raise ValueError(f"extent_factor {extent_factor} times sigma {sigma} overflows")
+    edge = extent / 2  # the largest |x| of the grid, exactly
+    if not edge * edge / (2.0 * sigma**2) < math.inf:
+        raise ValueError(
+            f"extent_factor {extent_factor} times sigma {sigma} overflows the envelope's "
+            "x^2 / (2 sigma^2) at the grid's edge"
+        )
     x = (np.arange(n) - n // 2) * (extent / n)
     comb = grating_coefficients(spec).evaluate(x)
     comb *= np.exp(-(x**2) / (2.0 * sigma**2))
@@ -94,10 +99,10 @@ def fidelity_sweep(
     """Fidelity table over envelope widths and revival orders.
 
     Rows are ordered by n_slits then by m.  With include_periodic_control,
-    control rows (n_slits = inf, exact mode arithmetic) are appended; they
-    sit at fidelity 1 for every m and anchor the envelope as the only
-    decay mechanism.  n_slits and m_list may be any iterables; each is
-    read once.
+    control rows (n_slits = inf) are appended at |<c|c>|^2 of the normalized
+    comb's coefficients c, exact by the Talbot identity; they read 1 to
+    rounding and anchor the envelope as the only decay mechanism.  n_slits
+    and m_list may be any iterables; each is read once.
     """
     n_slits = tuple(float(n) for n in n_slits)
     m_list = tuple(_integer(m, "revival order") for m in m_list)
@@ -121,17 +126,11 @@ def fidelity_sweep(
         # this width's field and buffer go before the next width is synthesized
         del field, propagate
     if include_periodic_control:
-        comb = grating_coefficients(spec).normalized()
-        for m in m_list:
-            revived = propagate_paraxial(comb, Fraction(m))
-            rows.append(
-                FidelityRow(
-                    n_slits=float("inf"),
-                    talbot_periods=m,
-                    fidelity=float(abs(np.vdot(comb.coefficients, revived.coefficients)) ** 2),
-                    dropped_norm_fraction=0.0,
-                    aliasing_risk=False,
-                    periodic_control=True,
-                )
-            )
+        c = grating_coefficients(spec).normalized().coefficients
+        control = float(abs(np.vdot(c, c)) ** 2)
+        rows += [
+            FidelityRow(n_slits=math.inf, talbot_periods=m, fidelity=control,
+                        dropped_norm_fraction=0.0, aliasing_risk=False, periodic_control=True)
+            for m in m_list
+        ]
     return rows

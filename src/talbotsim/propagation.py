@@ -193,23 +193,22 @@ def gate_crosscheck(
 ) -> CrosscheckResult:
     """Rebuild the q-step Talbot unitary from brute wave propagation.
 
-    Each slit state is propagated paraxially by q canonical steps and
-    projected back onto the slit basis; the resulting columns are compared
-    to talbot_unitary(D, q) entry by entry, global phase included: no phase
-    is fitted, so a wrong constant on either side fails the check.  The two
-    routes share no code: one is a Gauss-sum circulant, the other a mode
-    expansion of the physical field.  Certified means every entry agrees
-    within 1e-6 and every projection residual stays within 1e-4.
+    Each slit state is propagated paraxially by q canonical steps (one phase
+    vector serves every column) and projected back onto the slit basis; the
+    resulting columns are compared to talbot_unitary(D, q) entry by entry,
+    global phase included: no phase is fitted, so a wrong constant on either
+    side fails the check.  The two routes share no code: one is a Gauss-sum
+    circulant, the other a mode expansion of the physical field.  Certified
+    means every entry agrees within 1e-6 and every projection residual stays
+    within 1e-4.
     """
     D, q = _integer(D, "dimension"), _integer(q, "steps")
     if spec is None:
         spec = GratingSpec(slit_width=1.0 / (2 * D), mode_truncation=256)
-    r = talbot_cycle_length(D)
     basis = _slit_basis(spec, D)
-    projections = [
-        _project(basis, propagate_paraxial(ModeField(column), Fraction(q, r)).coefficients)
-        for column in basis.T
-    ]
+    M = spec.mode_truncation
+    phases = _paraxial_phases(np.arange(-M, M + 1), Fraction(q, talbot_cycle_length(D)))
+    projections = [_project(basis, column * phases) for column in basis.T]
     reconstructed = np.column_stack([weights for weights, _, _ in projections])
     max_residual = max(residual for _, residual, _ in projections)
     deviation = float(np.abs(reconstructed - talbot_unitary(D, q)).max())

@@ -571,6 +571,14 @@ BAD_INPUT = {
     # extent_factor * sigma overflows to inf, so the sample positions are NaN
     "fidelity-extent-overflow": ["fidelity", "--n-slits", "5", "--m-max", "1",
                                  "--extent-factor", "1e308", "--n-x", "1024"],
+    # x^2 overflows at the grid's edge: exit 0 with a RuntimeWarning and a
+    # fidelity of 1.0000000000000004
+    "fidelity-extent-square-overflow": ["fidelity", "--n-slits", "5", "--m-max", "1",
+                                        "--extent-factor", "1e300", "--n-x", "1024"],
+    # sigma^2 is finite and 2 sigma^2 is not: "cannot normalize a field of
+    # norm nan" after two RuntimeWarnings
+    "fidelity-n-slits-double-square-overflow": ["fidelity", "--n-slits", "1e154", "--m-max",
+                                                "1", "--n-x", "1024"],
     # sigma**2 underflows to 0, which the envelope divides by, or overflows
     "fidelity-n-slits-tiny": ["fidelity", "--n-slits", "1e-300", "--n-x", "1024",
                               "--m-max", "2"],
@@ -650,6 +658,22 @@ def test_extent_that_overflows_is_named(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, BAD_INPUT["fidelity-extent-overflow"])
     assert result.exit_code == 2
     assert "extent_factor 1e+308 times sigma 5.0 overflows" in result.output
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("fidelity-extent-square-overflow", "extent_factor 1e+300 times sigma 5.0 overflows"),
+        ("fidelity-n-slits-double-square-overflow", "sigma 1e+154 is out of range"),
+    ],
+    ids=["extent-square", "n-slits-double-square"],
+)
+def test_envelope_that_overflows_is_named(runner, tmp_path, monkeypatch, name, message):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, BAD_INPUT[name])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "RuntimeWarning" not in result.output
 
 
 # ---------------------------------------------------------------------------

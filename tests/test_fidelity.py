@@ -9,6 +9,7 @@ without any FFT and pins the simulated values to a few parts in 1e4.
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from talbotsim import (
     grating_coefficients,
     synthesize_gaussian_comb,
 )
+from talbotsim import propagation
 
 # frozen first-run values from the default sweep (regression pins)
 BASELINE = {
@@ -108,6 +110,30 @@ def test_periodic_control_rows_exact(default_rows):
         assert row.aliasing_risk is False
 
 
+@pytest.mark.parametrize("M", [1, 4, 16, 64, 4096])
+@pytest.mark.parametrize("slit_width", [0.5, 0.25, 0.125, 0.3])
+def test_control_rows_are_the_combs_own_overlap(slit_width, M):
+    # whole carpet periods multiply every mode by exp(-2i pi m^2 m') = 1, so
+    # each control row is |<c|c>|^2 of the normalized comb, bit for bit
+    rows = fidelity_sweep((), range(1, 25), slit_width=slit_width, mode_truncation=M,
+                          include_periodic_control=True)
+    spec = GratingSpec(slit_width=slit_width, mode_truncation=M)
+    c = grating_coefficients(spec).normalized().coefficients
+    overlap = float(abs(np.vdot(c, c)) ** 2)
+    assert [row.talbot_periods for row in rows] == list(range(1, 25))
+    assert all(row.periodic_control for row in rows)
+    assert [row.fidelity for row in rows] == [overlap] * 24
+
+
+def test_control_rows_make_no_paraxial_propagation(monkeypatch):
+    def refused(m, zeta):
+        raise AssertionError(f"paraxial phases taken at zeta = {zeta}")
+
+    monkeypatch.setattr(propagation, "_paraxial_phases", refused)
+    rows = fidelity_sweep([5.0], range(1, 5), n_x=2**10, include_periodic_control=True)
+    assert [row.periodic_control for row in rows] == [False] * 4 + [True] * 4
+
+
 def test_defaults_are_clean(default_rows):
     for row in default_rows:
         assert row.dropped_norm_fraction < 1e-12
@@ -168,6 +194,33 @@ def test_synthesize_names_an_extent_that_overflows():
     message = "extent_factor 1e+308 times sigma 5.0 overflows"
     with pytest.raises(ValueError, match=re.escape(message)):
         synthesize_gaussian_comb(SPEC, 5.0, n_x=2**10, extent_factor=1e308)
+
+
+@pytest.mark.parametrize(
+    "sigma, extent_factor, message",
+    [
+        # sigma^2 is finite, 2 sigma^2 is not: the envelope divided by inf
+        # and normalized NaN samples
+        (1e154, 16.0, "sigma 1e+154 is out of range: sigma^2 underflows or 2 sigma^2 overflows"),
+        # x^2 overflowed at the grid's edge, and the one sample at x = 0 gave
+        # a fidelity of 1.0000000000000004
+        (5.0, 1e300, "extent_factor 1e+300 times sigma 5.0 overflows the envelope's x^2"),
+        # x^2 is finite, x^2 / (2 sigma^2) is not
+        (1e-10, 1e160, "extent_factor 1e+160 times sigma 1e-10 overflows the envelope's x^2"),
+    ],
+    ids=["two-sigma-squared", "edge-squared", "edge-exponent"],
+)
+def test_synthesize_refuses_an_envelope_that_overflows(sigma, extent_factor, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synthesize_gaussian_comb(SPEC, sigma, n_x=2**10, extent_factor=extent_factor)
+
+
+def test_coarse_finite_grid_still_runs_and_flags_aliasing():
+    [row] = fidelity_sweep([5.0], [1], n_x=2)
+    assert 0.0 < row.fidelity <= 1.0
+    assert row.aliasing_risk is True
 
 
 def test_sample_counts_and_revival_orders_take_numpy_integers():

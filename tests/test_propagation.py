@@ -198,6 +198,21 @@ def test_gate_crosscheck_default(D):
     assert result.max_projection_residual < 1e-6
 
 
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+def test_gate_crosscheck_takes_one_phase_vector(monkeypatch, D):
+    """Every slit column propagates by the same zeta = q/r, so one vector of
+    paraxial phases serves them all, not one per column."""
+    calls = []
+
+    def counted(m, zeta):
+        calls.append(zeta)
+        return _paraxial_phases(m, zeta)
+
+    monkeypatch.setattr("talbotsim.propagation._paraxial_phases", counted)
+    assert gate_crosscheck(D, 3).certified
+    assert calls == [Fraction(3, talbot_cycle_length(D))]
+
+
 def test_gate_crosscheck_takes_numpy_integers():
     result = gate_crosscheck(np.int64(3), np.int64(2))
     assert result.certified
