@@ -53,18 +53,28 @@ def talbot_step_coefficients(D: int) -> np.ndarray:
     return gauss_coefficients(1, r)[:: r // D]
 
 
+def _circulant_view(column: np.ndarray) -> np.ndarray:
+    # Read-only (n, n) view whose row i, entry j is column[(i - j) mod n]:
+    # window s of the reversed column laid twice end to end reads
+    # column[(n-1-s-j) mod n] at j, so the windows from s = n-1 down are the
+    # rows.  It holds 2n entries, not n^2.
+    column = np.asarray(column)
+    n = len(column)
+    return sliding_window_view(np.concatenate((column[::-1],) * 2), n)[n - 1::-1]
+
+
 def circulant(column: np.ndarray) -> np.ndarray:
     """Circulant matrix whose j-th column is the cyclic roll of `column` by j.
 
     The matrix is allocated first, so a size that cannot be held fails at
-    once with MemoryError.  It is then filled in one copy: window s of the
-    reversed column laid twice end to end reads column[(n-1-s-j) mod n] at
-    j, so the windows taken from s = n-1 down are the rows.
+    once with MemoryError.  It is then filled in one copy from
+    _circulant_view, the strided view that reads every row out of 2n
+    entries.
     """
     column = np.asarray(column)
     n = len(column)
     matrix = np.empty((n, n), dtype=column.dtype)
-    matrix[...] = sliding_window_view(np.concatenate((column[::-1],) * 2), n)[n - 1::-1]
+    matrix[...] = _circulant_view(column)
     return matrix
 
 
@@ -73,19 +83,26 @@ def talbot_unitary(D: int, q: int = 1) -> np.ndarray:
 
     q may be any integer; it is reduced mod the cycle length (2D even,
     D odd), so q = 0 gives the identity and negative q the inverse gate.
-    Each step is a row sum of (step circulant * column): numpy reduces each
-    contiguous row exactly as it sums one 1-d vector, so entry i carries
-    the bits of the convolution sum_k a_{i-k} b_k taken alone, with no FFT
-    round-off asymmetry between entries.  The result is circulant by
-    construction: column j equals column 0 rolled by j, bitwise.
+    The first column is powered by square-and-multiply over the bits of
+    q mod r, most significant first: every bit after the first squares the
+    column, every set bit takes one step, so O(log q) convolutions build
+    U^q.  Each convolution is a row sum of (circulant view * column):
+    numpy reduces each contiguous row exactly as it sums one 1-d vector,
+    so entry i carries the bits of sum_k a_{i-k} b_k taken alone, with no
+    FFT round-off asymmetry between entries.  Up to q mod r = 3 the
+    schedule forms exactly the products of q single steps.  The matrix is
+    built once, at the end, and is circulant by construction: column j
+    equals column 0 rolled by j, bitwise.
     """
     D, q = _integer(D, "dimension"), _integer(q, "steps")
-    r = talbot_cycle_length(D)
-    step = circulant(talbot_step_coefficients(D))
+    step = _circulant_view(talbot_step_coefficients(D))
     column = np.zeros(D, dtype=complex)
     column[0] = 1.0
-    for _ in range(q % r):
-        column = (step * column).sum(axis=1)
+    for index, bit in enumerate(f"{q % talbot_cycle_length(D):b}"):
+        if index:
+            column = (_circulant_view(column) * column).sum(axis=1)
+        if bit == "1":
+            column = (step * column).sum(axis=1)
     return circulant(column)
 
 

@@ -149,10 +149,13 @@ _ROW_PIECE_CELLS = 512
 
 def _matrix_pieces(matrix: np.ndarray, outer: str):
     # A Talbot gate is circulant and a CZ matrix nearly all zeros, so most
-    # rows hold only entries an earlier row rendered.  Cell texts are kept in
-    # one dict keyed on each entry's 16 raw bytes (which keeps 0.0 apart from
-    # -0.0); a row with an entry the dict lacks renders only its missing
-    # cells, and the dict is cleared before it can outgrow two rows of texts.
+    # rows hold only entries an earlier row rendered.  A row whose raw bytes
+    # are the previous row's rolled by one (every row after the first of a
+    # circulant, most rows of a CZ matrix) takes the previous row's cell
+    # texts rotated.  Any other row looks its cells up in one dict keyed on
+    # each entry's 16 raw bytes (which keeps 0.0 apart from -0.0); a row
+    # with an entry the dict lacks renders only its missing cells, and the
+    # dict is cleared before it can outgrow two rows of texts.
     matrix = _square(matrix)
     dim = matrix.shape[0]
     if dim == 0:
@@ -164,21 +167,29 @@ def _matrix_pieces(matrix: np.ndarray, outer: str):
     head, between, tail = "[" + cell_indent + "{", "}," + cell_indent + "{", "}" + row_indent + "]"
     raw = np.dtype((np.void, 16))
     texts = {}
+    previous = b""
     for index, row in enumerate(matrix):
-        keys = row.view(raw).tolist()
-        try:
-            cells = list(map(texts.__getitem__, keys))
-        except KeyError:
-            if len(texts) > dim:
-                texts.clear()
-            # json.dumps spells out NaN, Infinity and -Infinity, which repr
-            # writes as nan and inf; finite floats it renders by repr too
-            render = float.__repr__ if np.isfinite(row).all() else json.dumps
-            for key, entry in zip(keys, row.tolist()):
-                if key not in texts:
-                    texts[key] = (f'{field_indent}"re": {render(entry.real)},'
-                                  f'{field_indent}"im": {render(entry.imag)}{cell_indent}')
-            cells = list(map(texts.__getitem__, keys))
+        # the row's bytes in index order, whatever the matrix's memory layout
+        current = row.tobytes()
+        if current == previous[-16:] + previous[:-16]:
+            cells = cells[-1:] + cells[:-1]
+        else:
+            keys = row.view(raw).tolist()
+            try:
+                cells = list(map(texts.__getitem__, keys))
+            except KeyError:
+                if len(texts) > dim:
+                    texts.clear()
+                # json.dumps spells out NaN, Infinity and -Infinity, which
+                # repr writes as nan and inf; finite floats it renders by
+                # repr too
+                render = float.__repr__ if np.isfinite(row).all() else json.dumps
+                for key, entry in zip(keys, row.tolist()):
+                    if key not in texts:
+                        texts[key] = (f'{field_indent}"re": {render(entry.real)},'
+                                      f'{field_indent}"im": {render(entry.imag)}{cell_indent}')
+                cells = list(map(texts.__getitem__, keys))
+        previous = current
         opening = ("[" if index == 0 else ",") + row_indent + head
         for lo in range(0, dim, _ROW_PIECE_CELLS):
             yield opening + between.join(cells[lo:lo + _ROW_PIECE_CELLS])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from talbotsim import (
     circulant,
+    gates,
     diagonal_gate,
     pauli_shift,
     qft_decomposition_even,
@@ -49,27 +50,76 @@ def test_long_power_matches_fourier_oracle(D):
     assert np.abs(talbot_unitary(D, q) - oracle_unitary(D, q)).max() < 1e-13
 
 
-def rowwise_reference_unitary(D: int, q: int) -> np.ndarray:
-    """The step applied as a row-by-row cyclic convolution, one Python sum
-    per entry: c_i = sum_k a_{i-k} b_k with indices mod D."""
-    a = talbot_step_coefficients(D)
+def rowwise_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c_i = sum_k a_{i-k} b_k with indices mod D, one Python sum per entry."""
+    D = len(b)
     idx = np.arange(D)
+    return np.asarray([(a[(i - idx) % D] * b).sum() for i in range(D)])
+
+
+def rowwise_reference_unitary(D: int, q: int) -> np.ndarray:
+    """talbot_unitary's schedule with each convolution taken row by row: over
+    the bits of q mod r, most significant first, every bit after the first
+    squares the column and every set bit takes one step."""
+    a = talbot_step_coefficients(D)
     column = np.zeros(D, dtype=complex)
     column[0] = 1.0
-    for _ in range(q % talbot_cycle_length(D)):
-        column = np.asarray([(a[(i - idx) % D] * column).sum() for i in range(D)])
+    for index, bit in enumerate(f"{q % talbot_cycle_length(D):b}"):
+        if index:
+            column = rowwise_convolution(column, column)
+        if bit == "1":
+            column = rowwise_convolution(a, column)
     return circulant(column)
 
 
-@pytest.mark.parametrize("D", [*DIMS, 64])
+def stepwise_reference_unitary(D: int, q: int) -> np.ndarray:
+    """The plain loop: q mod r single steps, each taken row by row."""
+    a = talbot_step_coefficients(D)
+    column = np.zeros(D, dtype=complex)
+    column[0] = 1.0
+    for _ in range(q % talbot_cycle_length(D)):
+        column = rowwise_convolution(a, column)
+    return circulant(column)
+
+
+@pytest.mark.parametrize("D", [*range(1, 41), 64])
 def test_bitwise_equal_to_rowwise_convolution(D):
+    # up to q mod r = 3 the schedule forms exactly the plain loop's products,
+    # which golden_gate.json (D = 5, q = 3) was generated with
     cycle = talbot_cycle_length(D)
     for q in (-1, 0, 1, 2, 3, D, 2 * D - 1, cycle + 1):
         U = talbot_unitary(D, q)
-        reference = rowwise_reference_unitary(D, q)
-        assert np.array_equal(U, reference), (D, q)
-        assert np.array_equal(np.signbit(U.real), np.signbit(reference.real)), (D, q)
-        assert np.array_equal(np.signbit(U.imag), np.signbit(reference.imag)), (D, q)
+        references = [rowwise_reference_unitary(D, q)]
+        if q % cycle <= 3:
+            references.append(stepwise_reference_unitary(D, q))
+        for reference in references:
+            assert np.array_equal(U, reference), (D, q)
+            assert np.array_equal(np.signbit(U.real), np.signbit(reference.real)), (D, q)
+            assert np.array_equal(np.signbit(U.imag), np.signbit(reference.imag)), (D, q)
+
+
+def test_power_peak_memory_is_little_more_than_its_output():
+    # one D x D product at a time and the circulant built once at the end;
+    # the step matrix and a product per step took 2.1 x 16 D^2
+    D = 256
+    tracemalloc.start()
+    try:
+        talbot_unitary(D, 2 * D - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * D * D
+
+
+def test_power_takes_logarithmically_many_convolutions(monkeypatch):
+    # one view for the step, one per squaring and one for the final
+    # circulant: 2 bit_length(q) at most, where the loop took q products
+    calls = []
+    view = gates._circulant_view
+    monkeypatch.setattr(gates, "_circulant_view", lambda column: calls.append(1) or view(column))
+    U = talbot_unitary(256, 511)
+    assert 0 < len(calls) <= 2 * (511).bit_length()
+    assert np.abs(U - oracle_unitary(256, 511)).max() < 1e-13
 
 
 @pytest.mark.parametrize("D", DIMS)

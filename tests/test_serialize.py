@@ -18,6 +18,7 @@ from talbotsim import (
     PhaseMask,
     Propagate,
     build_cz,
+    circulant,
     hadamard_program,
     matrix_to_json,
     postselected_to_json,
@@ -247,16 +248,44 @@ def _distinct_matrix() -> np.ndarray:
     return distinct
 
 
+def _rolled_rows(first, changes=()) -> np.ndarray:
+    """Each row the one before it rolled by one, then (row, column, value)
+    changes that break the roll in those rows."""
+    first = np.asarray(first, dtype=complex)
+    matrix = np.array([np.roll(first, i) for i in range(len(first))])
+    for row, column, value in changes:
+        matrix[row, column] = value
+    return matrix
+
+
+# Each row the one before it rolled by one, but for the rows noted.
+ROLLED_ROWS = [
+    circulant(np.arange(1, 10) * np.exp(1j * np.arange(9))),
+    # rows 3 and 5 are not rolls
+    np.diag([0.5, 0.5, 0.5, -2.0, -2.0, 0.5j]).astype(complex),
+    # rows 2 and 3 differ from a roll only in the sign of a zero
+    _rolled_rows([1.5, 0.0, -2.0, 0.25j],
+                 [(2, 3, complex(-0.0, 0.0)), (3, 0, complex(0.0, -0.0))]),
+    # NaN and infinities, and row 2 breaks the roll with a NaN
+    _rolled_rows([complex(float("nan"), 1.0), 1 + 1j, complex(-float("inf"), 0.0), 0.25j, -0.0],
+                 [(2, 0, complex(1.0, float("nan")))]),
+]
+
+
 @pytest.mark.parametrize(
     "matrix",
     [talbot_unitary(dim, q) for dim in range(1, 9) for q in (1, 2 * dim - 1)]
     + [build_cz(dim, control).matrix for dim in (2, 3, 4) for control in range(dim)]
-    + [talbot_unitary(6, 5).T, np.asfortranarray(build_cz(3, 1).matrix), _distinct_matrix()],
+    + [talbot_unitary(6, 5).T, np.asfortranarray(build_cz(3, 1).matrix), _distinct_matrix()]
+    + [layout(matrix) for matrix in ROLLED_ROWS
+       for layout in (np.asarray, np.asfortranarray, np.transpose)],
 )
 def test_gate_and_cz_matrices_render_as_json_dumps_does(matrix):
     # circulant gates and CZ matrices: every row after the first is made of
-    # entries an earlier row holds; the next two are not C-contiguous, and
-    # the last clears the writer's cell texts as it goes
+    # entries an earlier row holds; a transposed gate and a Fortran-order CZ
+    # matrix are not C-contiguous, and the distinct matrix clears the
+    # writer's cell texts as it goes.  The rolled rows, in three layouts,
+    # keep -0.0 apart from 0.0 and spell NaN as json.dumps does
     payload = {"dim": len(matrix), "entries": matrix}
     expected = _expected_json(payload)
     assert _streamed(payload) == expected
