@@ -172,25 +172,15 @@ def detect_revivals(image: CarpetImage, threshold: float = 1.0 - 1e-9) -> list[R
     periods, meaning row ~= roll(row0, shift * x_steps).  Row zero itself
     is skipped.
     """
-    base = image.intensity[0]
-    base_spectrum = np.fft.rfft(base)
-    base_norm = float(np.linalg.norm(base))
-    out: list[Revival] = []
-    n = len(base)
-    for i in range(1, len(image.zeta)):
-        row = image.intensity[i]
-        corr = np.fft.irfft(np.fft.rfft(row) * np.conj(base_spectrum), n=n)
-        shift_index = int(np.argmax(corr))
-        row_norm = float(np.linalg.norm(row))
-        if row_norm == 0 or base_norm == 0:
-            continue
-        similarity = float(corr[shift_index]) / (row_norm * base_norm)
-        if similarity >= threshold:
-            out.append(
-                Revival(
-                    zeta=float(image.zeta[i]),
-                    shift=shift_index / n,
-                    similarity=similarity,
-                )
-            )
-    return out
+    rows, n = image.intensity, len(image.x)
+    spectrum = np.fft.rfft(rows, axis=1)
+    corr = np.fft.irfft(spectrum[1:] * np.conj(spectrum[0]), n=n, axis=1)
+    norms = np.sqrt(np.vecdot(rows, rows))
+    scale = norms[1:] * norms[0]
+    # a zero-norm row, or a zero row zero, is never a revival
+    similarity = np.divide(corr.max(axis=1), scale, out=np.zeros(len(scale)), where=scale > 0)
+    found = np.flatnonzero((scale > 0) & (similarity >= threshold))
+    return [
+        Revival(float(image.zeta[i + 1]), int(corr[i].argmax()) / n, float(similarity[i]))
+        for i in found
+    ]

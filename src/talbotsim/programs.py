@@ -132,11 +132,14 @@ def prepare_bloch_state(theta: float, phi: float) -> tuple[OpticalProgram, np.nd
     (pi/4 - phi/2, phi/2 - pi/4).  The relative phase after the second
     Hadamard is pi/2 regardless of theta; the final mask shifts it to phi
     exactly, leaving only an unobservable global phase.  Total propagation
-    distance is 1, i.e. one full carpet period.
+    distance is 1, i.e. one full carpet period.  A finite |phi| > pi is
+    first reduced to (-pi, pi], so pi/4 is not lost to its magnitude.
 
     Returns the program and the compiled output state.
     """
     h = hadamard_program().steps
+    if math.pi < abs(phi) < math.inf:
+        phi = math.atan2(math.sin(phi), math.cos(phi))
     beta = np.pi / 4 - phi / 2
     program = OpticalProgram(
         dim=2,

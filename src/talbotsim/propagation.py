@@ -29,38 +29,44 @@ __all__ = [
     "angular_spectrum",
 ]
 
-# Switches between the two integer paths: at or below it the residue
-# product (m^2 mod r) * q stays under 10^18, inside int64; above it the
-# residues are taken in Python ints.
-_MAX_EXACT_DENOMINATOR = 10**9
+# Residues mod r in uint64 up to here, where (r - 1)^2 < 2^64; past it, mod 2^64.
+_MAX_EXACT_DENOMINATOR = 2**32
 
 
 def _paraxial_phases(m: np.ndarray, zeta) -> np.ndarray:
-    """exp(-2i pi m^2 zeta) for integer modes m.
+    """exp(-2i pi m^2 zeta) for integer modes m, exact for every finite zeta.
 
-    A Fraction zeta is exact: the phase comes from the integer residue
-    q m^2 mod r, and above the int64 bound each phase takes the correctly
-    rounded p / r of two Python ints.  Any other zeta is taken as float,
-    reduced mod 1, and may be an array: the result then has one row of
-    phases per zeta value.
+    zeta (a Fraction, int, float or float array, one row per value) is read
+    as the rational p / r it holds, r the rows' common denominator.  Up to
+    r = 2^32 each phase comes from the residue p m^2 mod r; past it, from the
+    first 64 binary digits of zeta mod 1 times m^2 mod 2^64 (uint64 wrap),
+    plus the rest, below 2^-64, times m^2 in float: far below one turn.
     """
-    if isinstance(zeta, Fraction):
-        r = zeta.denominator
-        if r <= _MAX_EXACT_DENOMINATOR:
-            return _root_of_unity((m * m) % r * (zeta.numerator % r), r, -1)
-        residues = m.astype(object) ** 2 * (zeta.numerator % r) % r
-        return np.exp(-2j * np.pi * (residues / r).astype(float))
-    frac = np.mod(np.asarray(zeta, dtype=float), 1.0)
-    return np.exp(-2j * np.pi * np.mod(np.multiply.outer(frac, m.astype(float) ** 2), 1.0))
+    values = np.asarray(zeta)
+    try:
+        ratios = [value.as_integer_ratio() for value in values.ravel().tolist()]
+    except (ValueError, OverflowError):
+        raise ValueError(f"zeta must be finite, got {zeta!r}") from None
+    r = math.lcm(*(d for _, d in ratios))
+    p = [n * (r // d) % r for n, d in ratios]
+    if r <= _MAX_EXACT_DENOMINATOR:
+        residues = np.multiply.outer(np.array(p, dtype=np.uint64), (m * m % r).astype(np.uint64))
+        phases = _root_of_unity(residues, r, -1)
+    else:
+        top, rest = zip(*(divmod(n << 64, r) for n in p))
+        turns = np.multiply.outer(np.array(top, np.uint64), m.astype(np.uint64) ** 2) * 2.0**-64
+        if any(rest):
+            turns += np.multiply.outer([n / (r << 64) for n in rest], m.astype(float) ** 2)
+        phases = np.exp(-2j * np.pi * turns)
+    return phases.reshape(values.shape + m.shape)
 
 
 def propagate_paraxial(field: ModeField, zeta) -> ModeField:
     """Propagate by zeta carpet periods (twice the Talbot length per unit).
 
-    Pass a Fraction for exact arithmetic: phases are computed from integer
-    residues q m^2 mod r, so revivals at integer zeta are bitwise exact.
-    Floats are reduced mod 1 before use, which keeps the carpet periodicity
-    exact there too.
+    Every finite zeta (a Fraction, an int or a float) is exact: it is read
+    as the rational it holds, so revivals at integer zeta are bitwise exact
+    and no phase error grows with the mode index.  NaN and inf are refused.
     """
     phases = _paraxial_phases(field.modes, zeta)
     return ModeField(field.coefficients * phases)

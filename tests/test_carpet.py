@@ -148,6 +148,46 @@ def test_detect_revivals_skips_row_zero():
     assert all(r.zeta > 0.0 for r in revivals)
 
 
+def _revivals_row_by_row(image, threshold=1.0 - 1e-9):
+    """detect_revivals as one rfft, irfft and norm per row."""
+    base = image.intensity[0]
+    base_spectrum = np.fft.rfft(base)
+    base_norm = float(np.linalg.norm(base))
+    n = len(base)
+    out = []
+    for i in range(1, len(image.zeta)):
+        row = image.intensity[i]
+        corr = np.fft.irfft(np.fft.rfft(row) * np.conj(base_spectrum), n=n)
+        shift_index = int(np.argmax(corr))
+        row_norm = float(np.linalg.norm(row))
+        if row_norm == 0 or base_norm == 0:
+            continue
+        similarity = float(corr[shift_index]) / (row_norm * base_norm)
+        if similarity >= threshold:
+            out.append(carpet.Revival(float(image.zeta[i]), shift_index / n, similarity))
+    return out
+
+
+@pytest.mark.parametrize("slit_width", [0.5, 0.25, 1 / 3])
+@pytest.mark.parametrize("M, z_steps, x_steps", [(16, 65, 64), (64, 100, 200), (128, 257, 256)])
+def test_batched_revivals_equal_the_row_by_row_pass(slit_width, M, z_steps, x_steps):
+    image = render_carpet(GratingSpec(slit_width, M), (0.0, 2.0), z_steps, x_steps)
+    for threshold in (1.0 - 1e-9, 0.9):
+        batched = detect_revivals(image, threshold)
+        assert repr(batched) == repr(_revivals_row_by_row(image, threshold))
+    assert batched
+
+
+def test_zero_rows_are_never_revivals():
+    # pytest makes a RuntimeWarning an error, so a 0 / 0 would fail here
+    intensity = np.ones((4, 8))
+    intensity[2] = 0.0
+    image = CarpetImage(intensity=intensity, zeta=np.arange(4.0), x=np.arange(8) / 8)
+    assert [r.zeta for r in detect_revivals(image, threshold=0.0)] == [1.0, 3.0]
+    dark = CarpetImage(intensity=np.zeros((4, 8)), zeta=np.arange(4.0), x=np.arange(8) / 8)
+    assert detect_revivals(dark, threshold=0.0) == []
+
+
 def test_revival_shift_convention():
     # shift s means the row looks like the base row rolled forward by
     # s * x_steps grid cells

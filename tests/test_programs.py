@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,17 @@ def test_prepare_bloch_state_amplitude_and_phase_law(theta, phi):
     relative = np.angle(state[1] * np.conj(state[0]))
     wrapped = np.angle(np.exp(1j * (relative - phi)))
     assert abs(wrapped) < 1e-10
+
+
+@pytest.mark.parametrize("phi", [1e12, 1e17, 1e308, -1e17])
+def test_prepare_bloch_state_phase_at_huge_phi(phi):
+    # pi/4 - phi/2 taken from the raw phi lost 4.5e-6 of relative phase at
+    # 1e12 and pi/2 from 1e17 up
+    _, state = prepare_bloch_state(0.8, phi)
+    relative = state[1] * np.conj(state[0])
+    with mpmath.workdps(400):
+        expected = complex(mpmath.expj(mpmath.mpf(phi)))
+    assert abs(relative / abs(relative) - expected) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2.5, 2.0, True, "2"])

@@ -63,7 +63,7 @@ def test_paraxial_exact_revival_with_fractions():
     assert np.array_equal(revived.coefficients, f.coefficients)
     also = propagate_paraxial(f, Fraction(5, 1))
     assert np.array_equal(also.coefficients, f.coefficients)
-    # float path reduces 1.0 mod 1.0 exactly too
+    # a float 1.0 is the rational 1, so it revives bitwise too
     float_revived = propagate_paraxial(f, 1.0)
     assert np.array_equal(float_revived.coefficients, f.coefficients)
 
@@ -107,6 +107,63 @@ def test_exact_paraxial_has_no_int64_wrap_at_large_modes():
     got = propagate_paraxial(field, Fraction(r - 1, r)).coefficients
     exponent = np.array([((r - 1) * m * m) % r for m in range(-M, M + 1)])
     assert np.array_equal(got, np.exp(-2j * np.pi * exponent / r))
+
+
+def _mpmath_phases(modes, zeta) -> np.ndarray:
+    """exp(-2i pi m^2 zeta) at 40 digits for the rational that zeta holds."""
+    zeta = Fraction(zeta)
+    p, r = zeta.numerator, zeta.denominator
+    with mpmath.workdps(40):
+        return np.array(
+            [complex(mpmath.expjpi(-2 * mpmath.mpf(p * m * m % r) / r)) for m in modes]
+        )
+
+
+def _sampled_modes(M: int) -> np.ndarray:
+    """Both ends and up to 200 seeded modes of -M..M."""
+    rng = np.random.default_rng(0)
+    picked = rng.choice(np.arange(-M, M + 1), min(2 * M + 1, 200), replace=False)
+    return np.unique(np.concatenate(([-M, M], picked)))
+
+
+@pytest.mark.parametrize("M", [64, 4096, 100_000])
+@pytest.mark.parametrize("zeta", [0.1, 1 / 3, 2.5e-3, 7.77])
+def test_float_distance_phases_are_exact_at_every_mode_count(zeta, M):
+    # a float is the dyadic rational it holds; taken as frac(zeta) * m^2 in
+    # float, the phases lost 1.9e-11 to 5.9e-9 at M = 4096 and up to 2.9e-6
+    # at M = 10^5
+    m = _sampled_modes(M)
+    assert np.abs(_paraxial_phases(m, zeta) - _mpmath_phases(m.tolist(), zeta)).max() < 1e-14
+
+
+def test_row_block_mixing_short_dyadics_and_long_mantissas():
+    # rows below 2^-11 with a full mantissa hold denominators past 2^63, so
+    # the whole block takes the residue mod 2^63 plus a float rest
+    zetas = np.array([0.0, 0.25, 0.75, 3e-4, -1.7e-5, 1 / 3 * 2.0**-12, 0.5])
+    m = _sampled_modes(4096)
+    phases = _paraxial_phases(m, zetas)
+    assert phases.shape == (len(zetas), len(m))
+    for row, zeta in zip(phases, zetas.tolist()):
+        assert np.abs(row - _mpmath_phases(m.tolist(), zeta)).max() < 1e-14
+    assert np.array_equal(phases[0], np.ones(len(m)))
+
+
+@pytest.mark.parametrize(
+    "zeta", [Fraction(41152263004115, 2**32 + 15), Fraction(-7, 3 * 2**40 + 1)]
+)
+def test_fraction_past_two_to_the_32_is_exact(zeta):
+    assert zeta.denominator > _MAX_EXACT_DENOMINATOR
+    m = _sampled_modes(65_536)
+    assert np.abs(_paraxial_phases(m, zeta) - _mpmath_phases(m.tolist(), zeta)).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "zeta", [float("nan"), float("inf"), -float("inf"), np.array([0.5, np.nan])]
+)
+def test_non_finite_distance_is_refused_by_name(zeta):
+    # it used to give NaN phases
+    with pytest.raises(ValueError, match="zeta must be finite, got .*(nan|inf)"):
+        _paraxial_phases(np.arange(-3, 4), zeta)
 
 
 @pytest.mark.parametrize(
